@@ -1,12 +1,8 @@
 """Global fast-path configuration for the simulation engine.
 
-Four composable acceleration layers (see DESIGN.md §11), each of which is
+Three composable acceleration layers (see DESIGN.md §11), each of which is
 *equivalence-preserving* in a precisely stated sense:
 
-* ``calendar_queue`` — bucketed event scheduler in
-  :class:`repro.common.events.Simulator`.  Fires events in exactly the same
-  ``(time, seq)`` order as the reference heap, so enabling it never changes
-  any output byte.
 * ``link_windows`` — batched serialization on uncontended FIFO links
   (:mod:`repro.interconnect.link`).  Per-chunk timestamps are reproduced
   exactly; only event *count* and same-instant interleaving differ.
@@ -20,8 +16,7 @@ Four composable acceleration layers (see DESIGN.md §11), each of which is
   and busy-integral float is reproduced bit-for-bit with two heap
   operations per thread block instead of two full engine events.
 
-The process-global config is read once per :class:`Simulator`/harness
-construction.  ``repro --no-fastpath`` (or ``REPRO_NO_FASTPATH=1``) forces
+The process-global config is read once per harness construction.  ``repro --no-fastpath`` (or ``REPRO_NO_FASTPATH=1``) forces
 the reference event path everywhere, which is the byte-identity baseline CI
 compares against.
 """
@@ -38,8 +33,6 @@ from typing import Iterator, Optional
 class FastPathConfig:
     """Which acceleration layers are active, plus their tuning knobs."""
 
-    #: Use the calendar-queue scheduler instead of the reference heap.
-    calendar_queue: bool = True
     #: Collapse per-chunk serialization events on uncontended FIFO links.
     link_windows: bool = True
     #: Bypass event-level simulation for validated uncongested collectives.
@@ -55,16 +48,15 @@ class FastPathConfig:
 
     @property
     def any_enabled(self) -> bool:
-        return (self.calendar_queue or self.link_windows
-                or self.analytic_collectives or self.analytic_kernels)
+        return (self.link_windows or self.analytic_collectives
+                or self.analytic_kernels)
 
     def cache_token(self) -> str:
         """Stable fingerprint component for result caches.
 
-        Calendar-queue choice is provably output-invariant so it is *not*
-        part of the token; the other layers change event interleaving
-        (windows) or skip simulation entirely (analytic), so cached
-        summaries must not be shared across those modes.
+        Every layer changes event interleaving (windows) or skips
+        simulation entirely (analytic), so cached summaries must not be
+        shared across layer sets.
         """
         return (f"fp:w{int(self.link_windows)}"
                 f"-a{int(self.analytic_collectives)}"
@@ -72,8 +64,7 @@ class FastPathConfig:
                 f"-v{self.validate_occurrences}")
 
 
-DISABLED = FastPathConfig(calendar_queue=False, link_windows=False,
-                          analytic_collectives=False,
+DISABLED = FastPathConfig(link_windows=False, analytic_collectives=False,
                           analytic_kernels=False)
 
 
@@ -102,11 +93,6 @@ def set_config(cfg: FastPathConfig) -> FastPathConfig:
 def disable_all() -> FastPathConfig:
     """Force the reference event path everywhere (``--no-fastpath``)."""
     return set_config(DISABLED)
-
-
-def configure(**overrides) -> FastPathConfig:
-    """Replace selected fields of the global config; returns the previous."""
-    return set_config(replace(_config, **overrides))
 
 
 @contextmanager

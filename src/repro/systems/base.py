@@ -57,7 +57,8 @@ class RunResult:
     #: Per-kernel spans (launch -> completion) for Gantt-style breakdowns.
     timeline: Optional[Timeline] = None
     #: The observability registry active during the run (None when metrics
-    #: were disabled); folded into JSON exports by ``metrics/export.py``.
+    #: were disabled); ``experiments/parallel.py`` ships its histogram
+    #: states back with the run summary.
     metrics: Optional[object] = None
     details: Dict[str, float] = field(default_factory=dict)
     #: Makespan attribution (repro.obs.critical_path), populated only when

@@ -2,8 +2,6 @@
 
 DESIGN.md §11 states the equivalence contract per layer:
 
-* ``calendar_queue``   — byte-identical (provably; property-tested in
-  ``tests/properties/test_scheduler_equivalence.py``);
 * ``link_windows``     — identical physics (per-chunk timestamps exact),
   only event counts and same-instant interleaving differ;
 * ``analytic_collectives`` — exact-float makespans (the bypass replays a
@@ -37,18 +35,15 @@ SYSTEMS = ("TP-NVLS", "CAIS", "CoCoNet", "T3")
 
 #: One config per layer with only that layer enabled, plus all-on.
 LAYER_CONFIGS = {
-    "calendar_queue": fastpath.FastPathConfig(
-        calendar_queue=True, link_windows=False,
-        analytic_collectives=False, analytic_kernels=False),
     "link_windows": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=True,
-        analytic_collectives=False, analytic_kernels=False),
+        link_windows=True, analytic_collectives=False,
+        analytic_kernels=False),
     "analytic_collectives": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=False,
-        analytic_collectives=True, analytic_kernels=False),
+        link_windows=False, analytic_collectives=True,
+        analytic_kernels=False),
     "analytic_kernels": fastpath.FastPathConfig(
-        calendar_queue=False, link_windows=False,
-        analytic_collectives=False, analytic_kernels=True),
+        link_windows=False, analytic_collectives=False,
+        analytic_kernels=True),
     "all": fastpath.FastPathConfig(),
 }
 
@@ -263,10 +258,13 @@ def test_disabled_runs_carry_no_fastpath_details(layer_workload):
 def test_sim_task_fingerprint_tracks_fastpath_layers():
     """Cache entries must not be shared across layer sets — except that
     the all-off fingerprint matches the pre-fast-path payload (so
-    ``--no-fastpath`` reuses historical cache entries)."""
+    ``--no-fastpath`` reuses historical cache entries).  The default
+    token is pinned literally: changing it orphans every cached summary,
+    ledger fingerprint and warm benchmark replay."""
     from repro.experiments.parallel import SimTask
     from repro.experiments.runner import DEFAULT
 
+    assert fastpath.FastPathConfig().cache_token() == "fp:w1-a1-k1-v2"
     cfg = dgx_h100_config()
     task = SimTask(system="TP-NVLS", graphs=(), config=cfg, scale=DEFAULT)
     with fastpath.overridden(fastpath.DISABLED):
@@ -274,12 +272,7 @@ def test_sim_task_fingerprint_tracks_fastpath_layers():
         assert "fastpath" not in task.payload()
     with fastpath.overridden(fastpath.FastPathConfig()):
         on = task.fingerprint()
+        assert task.payload()["fastpath"] == "fp:w1-a1-k1-v2"
     with fastpath.overridden(LAYER_CONFIGS["link_windows"]):
         windows_only = task.fingerprint()
-    with fastpath.overridden(LAYER_CONFIGS["calendar_queue"]):
-        calendar_only = task.fingerprint()
     assert len({off, on, windows_only}) == 3
-    # The calendar queue is output-invariant, so it shares entries with
-    # the all-off baseline... but a calendar-only config still has
-    # any_enabled=True with an all-zero token, distinct from off.
-    assert calendar_only != on

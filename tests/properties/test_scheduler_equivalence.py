@@ -1,12 +1,12 @@
-"""Property tests: the calendar queue is order-identical to the heap.
+"""Property tests: the simulator fires events in exact ``(time, seq)`` order.
 
-DESIGN.md §11's central claim for the ``calendar_queue`` fast-path layer
-is that it is *provably* output-invariant: both queue disciplines fire
-events in exactly the same ``(time, seq)`` order, so a simulation cannot
-tell which one it ran on.  These tests drive both disciplines through
-randomized schedule/cancel/drain scripts generated by hypothesis and
-require the observable firing sequence to match exactly — including
-through adaptive calendar resizes and auto-compaction.
+The engine's determinism rests on one claim: every armed event fires
+exactly once, in ascending ``(time, seq)`` order, where ``seq`` is the
+scheduling order; cancelled events never fire.  These tests drive the
+:class:`Simulator` through randomized schedule/cancel/step scripts
+generated by hypothesis and compare the observable firing sequence with
+a naive sorted-list model of that claim — including through
+auto-compaction of cancelled-dominated queues.
 """
 
 from __future__ import annotations
@@ -16,34 +16,44 @@ import math
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.events import (
-    CalendarEventQueue,
-    HeapEventQueue,
-    Simulator,
-)
+from repro.common.events import _AUTO_COMPACT_MIN_QUEUE, Simulator
+
+_DELAY = st.floats(min_value=0.0, max_value=1e6,
+                   allow_nan=False, allow_infinity=False)
 
 # One scripted operation: (kind, value).
 #   ("push", delay)    — schedule a recording callback `delay` ns ahead
 #   ("push_at", dt)    — schedule at absolute time now + dt (exact)
-#   ("cancel", k)      — cancel the k-th oldest still-armed event
+#   ("cancel", k)      — cancel the k-th oldest event never cancelled
 #   ("run", n)         — fire up to n events
 _OPS = st.lists(
     st.one_of(
-        st.tuples(st.just("push"),
-                  st.floats(min_value=0.0, max_value=1e6,
-                            allow_nan=False, allow_infinity=False)),
-        st.tuples(st.just("push_at"),
-                  st.floats(min_value=0.0, max_value=1e6,
-                            allow_nan=False, allow_infinity=False)),
+        st.tuples(st.just("push"), _DELAY),
+        st.tuples(st.just("push_at"), _DELAY),
         st.tuples(st.just("cancel"), st.integers(0, 30)),
         st.tuples(st.just("run"), st.integers(1, 20)),
     ),
     min_size=1, max_size=60)
 
 
-def _execute(script, scheduler: str):
-    """Run one script on a fresh simulator; returns the firing log."""
-    sim = Simulator(scheduler=scheduler)
+@st.composite
+def _compacting_scripts(draw):
+    """Scripts whose queue crosses the auto-compaction floor with a
+    cancelled majority, followed by an arbitrary ``_OPS`` tail."""
+    delays = draw(st.lists(_DELAY, min_size=_AUTO_COMPACT_MIN_QUEUE,
+                           max_size=2 * _AUTO_COMPACT_MIN_QUEUE))
+    n = len(delays)
+    cancels = draw(st.lists(st.integers(0, 30), min_size=n // 2 + 2,
+                            max_size=n))
+    return ([("push", d) for d in delays]
+            + [("cancel", k) for k in cancels]
+            + [("push", 0.0)]           # this push triggers compaction
+            + draw(_OPS))
+
+
+def _execute(script):
+    """Run one script on a fresh simulator; returns (log, now, fired, sim)."""
+    sim = Simulator()
     log = []
     armed = []
 
@@ -67,56 +77,89 @@ def _execute(script, scheduler: str):
                 if not sim.step():
                     break
     sim.run()
-    return log, sim.now, sim.events_processed
+    return log, sim.now, sim.events_processed, sim
+
+
+def _model(script):
+    """The ordering claim as a naive sorted list; returns (log, now, fired).
+
+    ``events[seq]`` is ``[time, cancelled]`` (an event's tag is its seq);
+    ``pending`` holds the seqs not yet fired.
+    """
+    now = 0.0
+    log = []
+    events = []
+    pending = []
+
+    def step():
+        nonlocal now
+        armed = sorted((events[s][0], s) for s in pending
+                       if not events[s][1])
+        if not armed:
+            pending.clear()
+            return False
+        now, seq = armed[0]
+        pending.remove(seq)
+        log.append((now, seq))
+        return True
+
+    for kind, value in script:
+        if kind in ("push", "push_at"):
+            pending.append(len(events))
+            events.append([now + value, False])
+        elif kind == "cancel":
+            live = [e for e in events if not e[1]]
+            if live:
+                live[value % len(live)][1] = True
+        elif kind == "run":
+            for _ in range(value):
+                if not step():
+                    break
+    while step():
+        pass
+    return log, now, len(log)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_OPS)
-def test_calendar_and_heap_fire_identically(script):
-    heap_log, heap_now, heap_n = _execute(script, "heap")
-    cal_log, cal_now, cal_n = _execute(script, "calendar")
-    assert cal_log == heap_log
-    assert cal_now == heap_now
-    assert cal_n == heap_n
+def test_simulator_fires_armed_events_in_time_seq_order(script):
+    log, now, fired, _ = _execute(script)
+    assert (log, now, fired) == _model(script)
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.lists(st.floats(min_value=0.0, max_value=1e9,
-                          allow_nan=False, allow_infinity=False),
-                min_size=2, max_size=400))
-def test_queue_disciplines_pop_identical_entries(times):
-    """Raw queue level: any push multiset pops in the same total order."""
-
-    class _Stub:
-        cancelled = False
-
-    heap, cal = HeapEventQueue(), CalendarEventQueue()
-    for seq, t in enumerate(times):
-        heap.push((t, seq, _Stub()))
-        cal.push((t, seq, _Stub()))
-    out_heap = [heap.pop()[:2] for _ in range(len(times))]
-    out_cal = [cal.pop()[:2] for _ in range(len(times))]
-    assert out_cal == out_heap == sorted(out_heap)
+@given(_compacting_scripts())
+def test_order_survives_auto_compaction(script):
+    log, now, fired, sim = _execute(script)
+    assert sim.auto_compactions >= 1
+    assert (log, now, fired) == _model(script)
 
 
-def test_calendar_resize_preserves_order():
-    """Push past MIN_RESIZE_POPULATION so the bucket width adapts
-    mid-stream; the pop order must survive the rebucketing."""
+def test_compaction_inside_run_keeps_the_live_queue():
+    """Auto-compaction triggered by a callback must compact the queue in
+    place: :meth:`Simulator.run` holds a local binding to it, so a rebuilt
+    queue would strand every later event."""
+    sim = Simulator()
+    fired = []
+    n = 2 * _AUTO_COMPACT_MIN_QUEUE
+    survivors = range(n // 2 + 2, n)
 
-    class _Stub:
-        cancelled = False
+    def trigger():
+        fired.append("trigger")
+        sim.schedule(0.5, fired.append, "after")
 
-    cal = CalendarEventQueue()
-    entries = []
-    # Two scales of timestamp so the adapted width differs wildly from
-    # the initial one.
-    for seq in range(3000):
-        t = (seq * 7919 % 1000) * (1e4 if seq % 3 else 0.01)
-        entries.append((float(t), seq, _Stub()))
-        cal.push(entries[-1])
-    assert cal.resizes >= 1
-    popped = [cal.pop()[:2] for _ in range(len(entries))]
-    assert popped == sorted(e[:2] for e in entries)
+    def burst():
+        timers = [sim.schedule(float(n - i), fired.append, i)
+                  for i in range(n)]
+        for timer in timers[:survivors[0]]:
+            timer.cancel()
+        sim.schedule(0.0, trigger)      # pushes past the compaction floor
+
+    sim.schedule(0.0, burst)
+    sim.run()
+    assert sim.auto_compactions == 1
+    assert fired == ["trigger", "after"] + sorted(survivors, reverse=True)
+    assert sim.pending() == 0 and sim.cancelled_pending() == 0
 
 
 def test_schedule_at_avoids_cumulative_drift():
@@ -138,18 +181,17 @@ def test_schedule_at_avoids_cumulative_drift():
         drifted = drifted or (acc != t)
     assert drifted
 
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        fired = []
+    sim = Simulator()
+    fired = []
 
-        def tick(k):
-            fired.append(sim.now)
-            if k + 1 < len(targets):
-                sim.schedule_at(targets[k + 1], tick, k + 1)
+    def tick(k):
+        fired.append(sim.now)
+        if k + 1 < len(targets):
+            sim.schedule_at(targets[k + 1], tick, k + 1)
 
-        sim.schedule_at(targets[0], tick, 0)
-        sim.run()
-        assert fired == targets
+    sim.schedule_at(targets[0], tick, 0)
+    sim.run()
+    assert fired == targets
 
 
 @settings(max_examples=100, deadline=None)
@@ -159,14 +201,13 @@ def test_schedule_at_avoids_cumulative_drift():
                  allow_nan=False, allow_infinity=False))
 def test_schedule_at_never_perturbs_timestamps(base, offset):
     """For arbitrary (base, offset), an event scheduled at an absolute
-    time fires at *exactly* that float — both disciplines."""
+    time fires at *exactly* that float."""
     target = base + offset  # an arbitrary representable float >= base
     assert not math.isnan(target)
-    for scheduler in ("heap", "calendar"):
-        sim = Simulator(scheduler=scheduler)
-        fired = []
-        sim.schedule(base, lambda: None)   # advance the clock first
-        sim.run()
-        sim.schedule_at(target, lambda: fired.append(sim.now))
-        sim.run()
-        assert fired == [target]
+    sim = Simulator()
+    fired = []
+    sim.schedule(base, lambda: None)   # advance the clock first
+    sim.run()
+    sim.schedule_at(target, lambda: fired.append(sim.now))
+    sim.run()
+    assert fired == [target]

@@ -2,13 +2,11 @@
 
 import json
 import time
-import types
 
 import pytest
 
 from repro import obs
 from repro.common.events import Simulator
-from repro.metrics.export import run_result_to_dict
 from repro.metrics.timeline import Timeline
 from repro.obs.metrics import (Histogram, MetricsRegistry, NullMetrics,
                                merge_histogram_states)
@@ -283,61 +281,6 @@ def test_timeline_flush_clamps_end_before_start():
     tl.begin("late", 80.0)
     (span,) = tl.flush(20.0)
     assert span.end_ns == 80.0           # never negative duration
-
-
-def _fake_result(timeline=None, metrics=None):
-    res = types.SimpleNamespace(
-        system="X", makespan_ns=100.0, compute_ns=1.0, tbs_completed=1,
-        events=1, gpu_utilization=0.5, merge_stats=None, network=None,
-        timeline=timeline, metrics=metrics, details={})
-    res.average_bandwidth_utilization = lambda: 0.0
-    return res
-
-
-def test_export_flags_unterminated_kernels():
-    tl = Timeline()
-    h = tl.begin("good", 0.0)
-    tl.end(h, 10.0)
-    tl.begin("stuck", 5.0)
-    tl.flush(100.0)
-    out = run_result_to_dict(_fake_result(timeline=tl))
-    by_name = {k["name"]: k for k in out["kernels"]}
-    assert "unterminated" not in by_name["good"]
-    assert by_name["stuck"]["unterminated"] is True
-
-
-def test_export_folds_metrics_snapshot():
-    reg = MetricsRegistry()
-    reg.counter("c").inc(7)
-    out = run_result_to_dict(_fake_result(metrics=reg))
-    assert out["metrics"]["counters"]["c"] == 7
-
-
-class _FakeTracker:
-    bytes_transferred = 0
-
-    @staticmethod
-    def utilization(lo, hi):
-        assert hi > lo                   # degenerate window = the old bug
-        return 0.5
-
-
-def test_utilization_series_window_count_is_exact():
-    link = types.SimpleNamespace(tracker=_FakeTracker())
-    network = types.SimpleNamespace(all_links=lambda: [link])
-    for makespan, windows in ((0.3, 3), (1.0, 7), (515037.2, 13),
-                              (1e9 / 3, 11), (7.0, 70)):
-        res = _fake_result()
-        res.network = network
-        res.makespan_ns = makespan
-        out = run_result_to_dict(res, time_series_windows=windows)
-        series = out["utilization_series"]
-        assert len(series) == windows, (makespan, windows)
-        # Centers strictly increase and the last window ends at makespan.
-        centers = [s["t_ns"] for s in series]
-        assert all(a < b for a, b in zip(centers, centers[1:]))
-        width = makespan / windows
-        assert centers[-1] == pytest.approx(makespan - width / 2, rel=1e-6)
 
 
 # ---------------------------------------------------------------------------
