@@ -16,9 +16,10 @@ Three composable acceleration layers (see DESIGN.md §11), each of which is
   and busy-integral float is reproduced bit-for-bit with two heap
   operations per thread block instead of two full engine events.
 
-The process-global config is read once per harness construction.  ``repro --no-fastpath`` (or ``REPRO_NO_FASTPATH=1``) forces
-the reference event path everywhere, which is the byte-identity baseline CI
-compares against.
+The process-global config is read once per harness construction.
+``--no-fastpath`` on ``python -m repro run`` and ``experiments`` (or
+``REPRO_NO_FASTPATH=1``) forces the reference event path everywhere,
+which is the byte-identity baseline CI compares against.
 """
 
 from __future__ import annotations
@@ -88,11 +89,6 @@ def set_config(cfg: FastPathConfig) -> FastPathConfig:
     previous = _config
     _config = cfg
     return previous
-
-
-def disable_all() -> FastPathConfig:
-    """Force the reference event path everywhere (``--no-fastpath``)."""
-    return set_config(DISABLED)
 
 
 @contextmanager

@@ -1,7 +1,7 @@
 """Experiment harness: one module per table/figure of the paper (Section V).
 
 See DESIGN.md's per-experiment index for the mapping; run any of them via
-``python -m repro.experiments <fig2|fig11|...|table2|hw|all>``.
+``python -m repro experiments <fig2|fig11|...|table2|hw|all>``.
 """
 
 from . import (

@@ -1,12 +1,12 @@
-"""Command-line entry point: regenerate any of the paper's tables/figures.
+"""``python -m repro experiments``: regenerate the paper's tables/figures.
 
 Usage::
 
-    python -m repro.experiments fig2            # one experiment
-    python -m repro.experiments fig11 --quick   # smaller workload scale
-    python -m repro.experiments all --out EXPERIMENTS.generated.md
-    python -m repro.experiments all --quick --jobs 8   # fan out over cores
-    python -m repro.experiments all --no-cache         # force re-simulation
+    python -m repro experiments fig2            # one experiment
+    python -m repro experiments fig11 --quick   # smaller workload scale
+    python -m repro experiments all --out EXPERIMENTS.generated.md
+    python -m repro experiments all --quick --jobs 8   # fan out over cores
+    python -m repro experiments all --no-cache         # force re-simulation
 
 ``--quick`` runs at 1/8 of the models' token count, the default at 1/4,
 ``--full`` unscaled (hours in pure Python; see DESIGN.md).
@@ -18,11 +18,15 @@ content-addressed result cache under ``--cache-dir`` (default
 across invocations.  ``--jobs 1 --no-cache`` is the original serial path,
 byte-for-byte.  ``--metrics`` prints the observability registry snapshot
 (cache hits/misses, per-task wall-time histogram) after the tables.
+
+This module registers the subcommand's flags (:func:`add_parser`); the
+parser itself is built by :mod:`repro.__main__`.  Run as a script,
+``python -m repro.experiments ARGS`` is an alias for
+``python -m repro experiments ARGS``.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
@@ -45,7 +49,6 @@ from . import (
     table2_scaling_validation,
 )
 from .. import obs
-from ..common import fastpath
 from ..common.config import FaultSpec
 from ..hw.area import overhead_report
 from .cache import SimCache
@@ -154,8 +157,13 @@ EXPERIMENTS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(prog="python -m repro.experiments")
+def add_parser(subparsers, shared) -> None:
+    """Register ``experiments`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "experiments",
+        parents=[shared.no_fastpath, shared.ledger, shared.faults],
+        help="regenerate the paper's tables/figures",
+        description="regenerate the paper's tables/figures")
     parser.add_argument("experiment",
                         choices=sorted(EXPERIMENTS) + ["all"],
                         help="which table/figure to regenerate")
@@ -175,29 +183,9 @@ def main(argv=None) -> int:
                         metavar="DIR",
                         help="simulation-reuse cache location "
                              "(default: %(default)s)")
-    parser.add_argument("--no-fastpath", action="store_true",
-                        help="force the reference event path everywhere "
-                             "(disables every engine fast-path layer; the "
-                             "byte-identity baseline, see DESIGN.md §11)")
     parser.add_argument("--metrics", action="store_true",
                         help="print the metrics snapshot (cache hits/"
                              "misses, task wall times) after the tables")
-    parser.add_argument("--faults", action="store_true",
-                        help="inject faults into every simulation that is "
-                             "not already faulted (see README, 'Fault "
-                             "injection & resilience')")
-    parser.add_argument("--fault-seed", type=int, default=0, metavar="S",
-                        help="fault-schedule seed (default: %(default)s)")
-    parser.add_argument("--fault-intensity", type=float, default=1.0,
-                        metavar="X",
-                        help="fault intensity in [0,1] "
-                             "(default: %(default)s)")
-    parser.add_argument("--ledger", nargs="?", const=".repro_ledger",
-                        default=None, metavar="DIR",
-                        help="append one run record per completed "
-                             "simulation to this ledger directory "
-                             "(default when given bare: %(const)s; see "
-                             "`python -m repro ledger`)")
     parser.add_argument("--progress", action="store_true",
                         help="live stderr progress board for matrix "
                              "sweeps (done/total, cache hit rate, ETA)")
@@ -212,25 +200,18 @@ def main(argv=None) -> int:
                              "admission control and retry budgets; fig22: "
                              "the fleet's replica-0 stream; see "
                              "`python -m repro report`)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_command, error=parser.error)
+
+
+def _command(args) -> int:
     if args.report and args.experiment not in ("fig19", "fig20_serving",
                                                "fig21", "fig22"):
-        parser.error("--report is only meaningful for fig19, "
-                     "fig20_serving, fig21 and fig22")
-
-    if args.no_fastpath:
-        # The env var (not just set_config) so that pool workers spawned
-        # by run_matrix inherit the choice regardless of start method.
-        os.environ["REPRO_NO_FASTPATH"] = "1"
-        fastpath.disable_all()
-    if args.ledger:
-        # Same env-var pattern: pool workers inherit the ledger root and
-        # append their own records (see obs/ledger.py).
-        os.environ[obs.LEDGER_ENV] = args.ledger
+        args.error("--report is only meaningful for fig19, "
+                   "fig20_serving, fig21 and fig22")
 
     jobs = args.jobs if args.jobs is not None else (os.cpu_count() or 1)
     if jobs < 1:
-        parser.error(f"--jobs must be >= 1, got {jobs}")
+        args.error(f"--jobs must be >= 1, got {jobs}")
     cache = None if args.no_cache else SimCache(args.cache_dir)
     fault_spec = None
     if args.faults or args.fault_seed or args.fault_intensity != 1.0:
@@ -275,4 +256,5 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from ..__main__ import main
+    sys.exit(main(["experiments", *sys.argv[1:]]))

@@ -200,11 +200,10 @@ def _fmt_bytes(n: int) -> str:
     return f"{n:,.1f} GiB"   # pragma: no cover - loop always returns
 
 
-def main(argv=None) -> int:
-    """``python -m repro cache`` — inspect / garbage-collect the cache."""
-    import argparse
-    parser = argparse.ArgumentParser(
-        prog="python -m repro cache",
+def add_parser(subparsers, shared) -> None:
+    """Register ``cache`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "cache", help="inspect / garbage-collect the simulation cache",
         description="list on-disk simulation-cache entries by schema; "
                     "--gc evicts stale-schema directories")
     parser.add_argument("--dir", default=".repro_cache", metavar="DIR",
@@ -213,8 +212,10 @@ def main(argv=None) -> int:
                         help="delete stale-schema directories")
     parser.add_argument("--json", action="store_true",
                         help="emit the inventory as JSON")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_command)
 
+
+def _command(args) -> int:
     rows = scan_cache(args.dir)
     if args.json:
         print(json.dumps(rows, sort_keys=True, separators=(",", ":")))
@@ -240,8 +241,3 @@ def main(argv=None) -> int:
         else:
             print("nothing stale to evict")
     return 0
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    import sys
-    sys.exit(main())

@@ -232,10 +232,24 @@ def movement_breaches(diff: Dict, threshold: float) -> List[str]:
     return breaches
 
 
-def main(argv=None) -> int:
-    """``python -m repro diff`` — compare two report JSON files."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro diff",
+def _movement_threshold(text: str):
+    """``--fail-on-movement`` value: ``any``, or a relative fraction."""
+    if text == "any":
+        return text
+    try:
+        threshold = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(
+            f"threshold must be a number, got {text!r}") from None
+    if threshold < 0:
+        raise argparse.ArgumentTypeError("threshold must be >= 0")
+    return threshold
+
+
+def add_parser(subparsers, shared) -> None:
+    """Register ``diff`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "diff", help="attribute metric movement between two run reports",
         description="attribute metric movement between two run reports "
                     "(see `python -m repro report --json`)")
     parser.add_argument("base", help="baseline report JSON")
@@ -243,43 +257,33 @@ def main(argv=None) -> int:
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the structured diff as JSON")
     parser.add_argument("--fail-on-movement", nargs="?", const="any",
-                        default=None, metavar="THRESHOLD",
+                        default=None, type=_movement_threshold,
+                        metavar="THRESHOLD",
                         help="exit nonzero when metrics move: bare = any "
                              "movement at all; with a value (e.g. 0.05) = "
                              "any summary/phase metric moving more than "
                              "that relative fraction")
-    args = parser.parse_args(argv)
-    threshold = None
-    if args.fail_on_movement is not None and args.fail_on_movement != "any":
-        try:
-            threshold = float(args.fail_on_movement)
-        except ValueError:
-            parser.error(f"--fail-on-movement threshold must be a number, "
-                         f"got {args.fail_on_movement!r}")
-        if threshold < 0:
-            parser.error("--fail-on-movement threshold must be >= 0")
+    parser.set_defaults(func=_command)
+
+
+def _command(args) -> int:
+    threshold = args.fail_on_movement
     diff = diff_reports(load_report(args.base), load_report(args.other))
     print(format_diff(diff))
     if args.json:
         with open(args.json, "w") as fh:
             fh.write(diff_to_json(diff) + "\n")
         print(f"\ndiff: {args.json}")
-    if args.fail_on_movement is not None:
-        if threshold is None:
-            if diff["moved"]:
-                print("\nFAIL: reports differ (--fail-on-movement)")
-                return 1
-        else:
-            breaches = movement_breaches(diff, threshold)
-            if breaches:
-                print(f"\nFAIL: {len(breaches)} metric(s) moved beyond "
-                      f"{threshold:.1%} (--fail-on-movement):")
-                for b in breaches:
-                    print(f"  - {b}")
-                return 1
+    if threshold == "any":
+        if diff["moved"]:
+            print("\nFAIL: reports differ (--fail-on-movement)")
+            return 1
+    elif threshold is not None:
+        breaches = movement_breaches(diff, threshold)
+        if breaches:
+            print(f"\nFAIL: {len(breaches)} metric(s) moved beyond "
+                  f"{threshold:.1%} (--fail-on-movement):")
+            for b in breaches:
+                print(f"  - {b}")
+            return 1
     return 0
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    import sys
-    sys.exit(main())

@@ -19,8 +19,6 @@ Usage::
 
 from __future__ import annotations
 
-import argparse
-import sys
 from typing import List, Tuple
 
 from .. import obs
@@ -82,9 +80,11 @@ def format_explain_report(model_name: str, workload: str, gpus: int,
     return "\n".join(lines)
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="python -m repro explain",
+def add_parser(subparsers, shared) -> None:
+    """Register ``explain`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "explain",
+        help="critical-path attribution comparison across systems",
         description="critical-path attribution comparison across systems")
     parser.add_argument("--model", default="LLaMA-7B",
                         choices=sorted(TABLE_I))
@@ -103,8 +103,10 @@ def main(argv=None) -> int:
                         help="longest segments listed per system")
     parser.add_argument("--out", metavar="PATH", default=None,
                         help="also write the report to PATH")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_command)
 
+
+def _command(args) -> int:
     paths = explain_runs(args.model, args.workload, args.systems,
                          args.gpus, args.seed, args.scale)
     report = format_explain_report(args.model, args.workload, args.gpus,
@@ -116,7 +118,3 @@ def main(argv=None) -> int:
             fh.write(report)
         print(f"report: {args.out}")
     return 0
-
-
-if __name__ == "__main__":   # pragma: no cover - module CLI
-    sys.exit(main())

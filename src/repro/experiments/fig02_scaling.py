@@ -95,7 +95,3 @@ def format_table(results: Dict[int, Dict[str, float]]) -> str:
     return markdown_table(
         ["GPUs", "compute (us/layer)", "comm (us/layer)", "comm/compute"],
         rows)
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

@@ -86,7 +86,3 @@ def format_table(results: Dict[str, Dict[str, Dict]]) -> str:
                         f"baseline\n" +
                         markdown_table(headers, speedup_rows(results, mode)))
     return "\n\n".join(sections)
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

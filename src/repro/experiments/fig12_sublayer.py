@@ -70,7 +70,3 @@ def format_table(results: Dict[str, Dict[str, Dict]]) -> str:
                                for s in REPORTED if s in per_system])
     return ("### Fig. 12: CAIS speedup over each baseline, per sub-layer\n" +
             markdown_table(headers, rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

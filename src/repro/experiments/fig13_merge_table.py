@@ -94,7 +94,3 @@ def format_table(table_size: Dict[str, Dict[str, float]],
               "stage (us)\n" +
               markdown_table(["stage", "avg wait (us)"], rows_b))
     return part_a + "\n\n" + part_b
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run_table_size(), run_wait_ablation()))

@@ -58,7 +58,3 @@ def format_table(results: Dict[str, Dict[int, float]]) -> str:
             for system in results]
     return ("### Fig. 14: normalized performance vs merge-table size\n" +
             markdown_table(headers, rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

@@ -73,7 +73,3 @@ def format_table(results: Dict[str, Dict[str, float]]) -> str:
     return ("### Fig. 15: average goodput bandwidth utilization per "
             "sub-layer\n" +
             markdown_table(["workload"] + list(CONFIGS), rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

@@ -56,7 +56,3 @@ def format_table(results: Dict[str, List[Tuple[float, float]]]) -> str:
         for system, series in results.items())
     return ("### Fig. 16: utilization over time (L2, windowed)\n" + table +
             "\n\nTraces (per-window utilization):\n" + traces)
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

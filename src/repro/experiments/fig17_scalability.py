@@ -75,7 +75,3 @@ def format_table(results: Dict[str, Dict[int, float]]) -> str:
             "(normalized to 8-GPU CAIS)\n" +
             markdown_table(["system"] + [f"{g} GPUs" for g in gpu_counts],
                            rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

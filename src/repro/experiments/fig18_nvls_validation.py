@@ -68,7 +68,3 @@ def format_table(results: Dict[int, Dict[str, float]]) -> str:
     return ("### Fig. 18: simulated NVLS AllReduce vs analytic reference\n" +
             markdown_table(["size", "simulated (us)", "reference (us)",
                             "error (%)"], rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

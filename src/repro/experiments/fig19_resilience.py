@@ -105,7 +105,3 @@ def format_table(results: Dict[str, Dict[float, Dict[str, float]]]) -> str:
                 ["system"] + [name.split(".", 1)[1] for name in COUNTERS],
                 counter_rows))
     return head + tail
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

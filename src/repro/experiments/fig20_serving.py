@@ -105,7 +105,3 @@ def format_table(results: Dict[str, Dict[str, float]]) -> str:
     else:
         tail = ""
     return head + tail
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

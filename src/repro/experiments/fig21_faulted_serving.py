@@ -193,7 +193,3 @@ def format_table(results: Dict[str, Dict[float, Dict[str, float]]]) -> str:
                    "goodput retention"],
                   dollar_rows))
     return head + tails + dollar
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

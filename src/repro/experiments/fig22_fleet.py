@@ -236,7 +236,3 @@ def replica_zero_report(system: str = "CAIS", scale: Scale = DEFAULT,
                    "workload": "fleet", "role": rs.role,
                    "replica": rs.index, "replicas": fleet.replicas,
                    "policy": fleet.policy})
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

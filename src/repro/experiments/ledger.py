@@ -6,14 +6,12 @@ spec digest and headline metrics look like — and the command line that
 queries the accumulated history:
 
 * :func:`task_spec` / :func:`record_for_task` — one canonical record per
-  :class:`~.parallel.SimTask` outcome (matrix workers and the cache-hit
-  path both use these, so hit and miss records of the same run carry
-  byte-identical stable sections).
-* :func:`record_for_result` — the same record built from a live
-  :class:`~repro.systems.base.RunResult` (the ``python -m repro``
-  direct-run path); metrics come from :meth:`RunResult.headline`, which
-  is definitionally aligned with the summary projection.
-* ``python -m repro ledger query|summarize|regress`` (:func:`main`) —
+  :class:`~.parallel.SimTask` outcome.  Matrix workers, the cache-hit
+  path and ``python -m repro run --ledger`` all use these (a direct run
+  describes itself as the equivalent task and projects its result with
+  :meth:`~.parallel.RunSummary.from_result`), so every record of the
+  same run carries a byte-identical stable section.
+* ``python -m repro ledger query|summarize|regress`` (:func:`add_parser`) —
   filter recorded runs, per-system trends across history, and a drift
   gate comparing the ledger against the committed benchmark envelopes
   (``BENCH_baseline.json`` / ``BENCH_engine.json``) — the substrate the
@@ -22,7 +20,6 @@ queries the accumulated history:
 
 from __future__ import annotations
 
-import argparse
 import json
 import statistics
 import time
@@ -101,9 +98,7 @@ def task_spec(task) -> Dict[str, Any]:
 
 
 def summary_metrics(summary) -> Dict[str, float]:
-    """Headline scalars of a :class:`~.parallel.RunSummary` — the same
-    keys :meth:`RunResult.headline` produces, so records from the matrix
-    path and the direct-CLI path are interchangeable."""
+    """Headline scalars of a :class:`~.parallel.RunSummary`."""
     return {
         "makespan_ns": summary.makespan_ns,
         "compute_ns": summary.compute_ns,
@@ -124,22 +119,6 @@ def record_for_task(task, summary, *, cache_hit: bool, wall_ms: float,
         metrics=summary_metrics(summary),
         details=dict(summary.details),
         cache_hit=cache_hit,
-        wall_ms=wall_ms)
-
-
-def record_for_result(task, result, *, wall_ms: float) -> Dict[str, Any]:
-    """One ledger record from a live :class:`RunResult` (direct CLI runs).
-
-    ``task`` is the :class:`~.parallel.SimTask` *description* of what
-    ran — the CLI builds one purely for its fingerprint and spec digest,
-    so a direct run and the identical matrix task share a fingerprint.
-    """
-    return build_record(
-        fingerprint=task.fingerprint(),
-        spec=task_spec(task),
-        metrics=result.headline(),
-        details={k: float(v) for k, v in sorted(result.details.items())},
-        cache_hit=False,
         wall_ms=wall_ms)
 
 
@@ -352,10 +331,10 @@ def _load_json(path: str) -> Optional[Dict]:
         return None
 
 
-def main(argv=None) -> int:
-    """``python -m repro ledger`` — query the cross-run ledger."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro ledger",
+def add_parser(subparsers, shared) -> None:
+    """Register ``ledger`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "ledger", help="query the cross-run ledger",
         description="query, summarize, and regression-gate the "
                     "append-only run ledger (see README, 'Auditing runs "
                     "over time')")
@@ -396,8 +375,10 @@ def main(argv=None) -> int:
                    default=DEFAULT_THROUGHPUT_FLOOR, metavar="F",
                    help="minimum fraction of the reference host event "
                         "throughput (default: %(default)s)")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_command)
 
+
+def _command(args) -> int:
     ledger = RunLedger(args.dir)
     records = ledger.records()
 
@@ -445,8 +426,3 @@ def main(argv=None) -> int:
         return 1
     print("ledger regress: OK")
     return 0
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    import sys
-    sys.exit(main())

@@ -17,15 +17,14 @@ Entry points:
 
 * :func:`run_report` — run one serving simulation with the time-series
   and request-log sinks installed and build its report.
-* ``python -m repro report`` (:func:`main`) — CLI wrapper; renders the
-  report for the terminal and optionally writes the JSON artifact.
+* ``python -m repro report`` (:func:`add_parser`) — CLI wrapper; renders
+  the report for the terminal and optionally writes the JSON artifact.
 * :func:`experiment_report` — the ``--report`` hook of
-  ``python -m repro.experiments`` for fig19/fig20-style runs.
+  ``python -m repro experiments`` for fig19/fig20-style runs.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import math
 from typing import Dict, List, Optional, Sequence
@@ -521,10 +520,11 @@ def experiment_report(experiment: str, scale: Scale, ctx=None) -> Dict:
         f"not {experiment!r}")
 
 
-def main(argv=None) -> int:
-    """``python -m repro report`` — run-and-render or render-from-file."""
-    parser = argparse.ArgumentParser(
-        prog="python -m repro report",
+def add_parser(subparsers, shared) -> None:
+    """Register ``report`` on the ``python -m repro`` tree."""
+    parser = subparsers.add_parser(
+        "report", parents=[shared.faults],
+        help="SLO run report for the serving workload",
         description="SLO run report for the continuous-batching serving "
                     "workload (run one simulation, or render an existing "
                     "report JSON)")
@@ -536,11 +536,6 @@ def main(argv=None) -> int:
     parser.add_argument("--scale", type=float, default=0.125,
                         help="tokens fraction (default: %(default)s)")
     parser.add_argument("--seed", type=int, default=2026)
-    parser.add_argument("--faults", action="store_true",
-                        help="inject the fig19 fault schedule")
-    parser.add_argument("--fault-intensity", type=float, default=1.0,
-                        metavar="X")
-    parser.add_argument("--fault-seed", type=int, default=0, metavar="S")
     parser.add_argument("--window-us", type=float, default=100.0,
                         help="time-series window (default: %(default)s)")
     parser.add_argument("--slo-ttft-ms", type=float,
@@ -559,8 +554,11 @@ def main(argv=None) -> int:
                         help="worst-request rows (default: %(default)s)")
     parser.add_argument("--json", metavar="PATH", default=None,
                         help="also write the report JSON artifact")
-    args = parser.parse_args(argv)
+    parser.set_defaults(func=_command)
 
+
+def _command(args) -> int:
+    """Run-and-render, or render an existing report (``--from``)."""
     if args.from_path:
         report = load_report(args.from_path)
     else:
@@ -581,8 +579,3 @@ def main(argv=None) -> int:
         write_report(report, args.json)
         print(f"\nreport: {args.json}")
     return 0
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    import sys
-    sys.exit(main())

@@ -97,7 +97,3 @@ def format_tables(bw: Dict[float, Dict[str, float]],
                              [[seeds["mean"], seeds["stdev"], seeds["min"],
                                seeds["max"], seeds["n"]]]))
     return part_a + "\n\n" + part_b
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_tables(bandwidth_sweep(), seed_sweep()))

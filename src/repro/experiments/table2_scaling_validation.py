@@ -58,7 +58,3 @@ def format_table(results: Dict[str, Dict]) -> str:
             "(CAIS speedup over TP-NVLS; paper: 1.43 vs 1.40)\n" +
             markdown_table(["setup", "hidden", "ffn", "heads", "#SM",
                             "CAIS speedup over TP-NVLS"], rows))
-
-
-if __name__ == "__main__":   # pragma: no cover - manual entry point
-    print(format_table(run()))

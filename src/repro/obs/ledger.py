@@ -2,7 +2,7 @@
 
 Per-run observability (traces, ``explain``, ``report``/``diff``) dies
 with the process that produced it; the **run ledger** is the layer that
-survives.  Every completed simulation — a direct ``python -m repro`` run
+survives.  Every completed simulation — a direct ``python -m repro run``
 or one :class:`~repro.experiments.parallel.SimTask` of a matrix sweep —
 appends exactly one canonical-JSON record to a schema-versioned JSONL
 file under ``.repro_ledger/``, so the history of runs across working
@@ -37,8 +37,9 @@ correctness dependency — I/O failures warn and are swallowed, corrupt
 lines are skipped on read.
 
 Activation is ambient via the ``REPRO_LEDGER`` environment variable
-(the CLIs' ``--ledger`` flag sets it), so worker processes inherit the
-choice exactly like ``REPRO_NO_FASTPATH``; when unset,
+(the ``--ledger`` flag of ``python -m repro run`` and ``experiments``
+sets it), so worker processes inherit the choice exactly like
+``REPRO_NO_FASTPATH``; when unset,
 :func:`ledger_from_env` returns the :class:`NullLedger` and nothing in
 this module runs on any hot path.
 """

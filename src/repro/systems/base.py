@@ -80,26 +80,6 @@ class RunResult:
             return 0.0
         return self.network.average_utilization(0.0, self.makespan_ns)
 
-    def headline(self) -> Dict[str, float]:
-        """Deterministic headline scalars, keyed exactly like the matrix
-        path's :func:`repro.experiments.ledger.summary_metrics`, so a
-        direct-CLI run and the identical ``SimTask`` append
-        interchangeable ledger records."""
-        link_bytes = 0
-        if self.network is not None:
-            link_bytes = sum(link.tracker.bytes_transferred
-                             for link in self.network.all_links())
-        return {
-            "makespan_ns": self.makespan_ns,
-            "compute_ns": self.compute_ns,
-            "tbs_completed": self.tbs_completed,
-            "events": self.events,
-            "gpu_utilization": self.gpu_utilization,
-            "avg_bandwidth_utilization":
-                self.average_bandwidth_utilization(),
-            "link_bytes_total": link_bytes,
-        }
-
 
 class Harness:
     """One simulated node configured for a specific system."""

@@ -20,10 +20,10 @@ import json
 
 import pytest
 
+from repro.__main__ import main
 from repro.common.config import dgx_h100_config
 from repro.experiments import parallel
 from repro.experiments.cache import SimCache
-from repro.experiments.ledger import main as ledger_main
 from repro.experiments.parallel import ExecContext, SimTask, run_matrix
 from repro.experiments.runner import Scale
 from repro.llm.graph import CommKind, GemmShape, Graph, LogicalOp, OpKind
@@ -105,26 +105,26 @@ def test_ledger_cli_end_to_end(ledger_env, tmp_path, capsys):
     run_matrix([tiny_task(seed=1), tiny_task(seed=2)],
                ExecContext(jobs=1, cache=SimCache(str(tmp_path / "c"))))
 
-    assert ledger_main(["--dir", ledger_env, "query"]) == 0
+    assert main(["ledger", "--dir", ledger_env, "query"]) == 0
     out = capsys.readouterr().out
     assert "4 record(s)" in out and "TP-NVLS" in out
 
-    assert ledger_main(["--dir", ledger_env, "query", "--seed", "1",
-                        "--json"]) == 0
+    assert main(["ledger", "--dir", ledger_env, "query", "--seed", "1",
+                 "--json"]) == 0
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     assert all(json.loads(l)["spec"]["seed"] == 1 for l in lines)
 
-    assert ledger_main(["--dir", ledger_env, "summarize"]) == 0
+    assert main(["ledger", "--dir", ledger_env, "summarize"]) == 0
     out = capsys.readouterr().out
     assert "hit rate" in out and "50%" in out
 
     # Regress passes on a clean history (benchmark envelopes resolved
     # from the repo root by the CI job; here they may be absent, which
     # regress reports as skipped, not failed).
-    assert ledger_main(["--dir", ledger_env, "regress",
-                        "--engine-bench", "BENCH_engine.json",
-                        "--bench", "benchmarks/BENCH_baseline.json"]) == 0
+    assert main(["ledger", "--dir", ledger_env, "regress",
+                 "--engine-bench", "BENCH_engine.json",
+                 "--bench", "benchmarks/BENCH_baseline.json"]) == 0
     assert "OK" in capsys.readouterr().out
 
 
@@ -137,7 +137,7 @@ def test_ledger_regress_fails_on_planted_drift(ledger_env, tmp_path,
                               makespan_ns=drifted["metrics"]["makespan_ns"]
                               + 1.0)
     led.append(drifted)
-    assert ledger_main(["--dir", ledger_env, "regress"]) == 1
+    assert main(["ledger", "--dir", ledger_env, "regress"]) == 1
     assert "drift" in capsys.readouterr().out
 
 

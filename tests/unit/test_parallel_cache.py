@@ -10,10 +10,10 @@ import json
 import pytest
 
 from repro import obs
+from repro.__main__ import main
 from repro.common.config import dgx_h100_config
 from repro.experiments.cache import (CACHE_SCHEMA, SimCache, canonical,
                                      fingerprint, gc_stale, scan_cache)
-from repro.experiments.cache import main as cache_main
 from repro.experiments.parallel import (AblationSpec, ExecContext,
                                         RunSummary, SimTask,
                                         run_matrix, summary_satisfies)
@@ -368,15 +368,15 @@ class TestCacheIntrospection:
 
     def test_cache_cli_lists_and_gcs(self, tmp_path, capsys):
         root = self._seed_cache(tmp_path)
-        assert cache_main(["--dir", str(root)]) == 0
+        assert main(["cache", "--dir", str(root)]) == 0
         out = capsys.readouterr().out
         assert "stale" in out and CACHE_SCHEMA in out
-        assert cache_main(["--dir", str(root), "--gc"]) == 0
+        assert main(["cache", "--dir", str(root), "--gc"]) == 0
         assert "evicted stale schema(s): v0" in capsys.readouterr().out
         assert not (root / "v0").exists()
 
     def test_cache_cli_json_mode(self, tmp_path, capsys):
         root = self._seed_cache(tmp_path)
-        assert cache_main(["--dir", str(root), "--json"]) == 0
+        assert main(["cache", "--dir", str(root), "--json"]) == 0
         rows = json.loads(capsys.readouterr().out)
         assert {r["schema"] for r in rows} == {"v0", CACHE_SCHEMA}

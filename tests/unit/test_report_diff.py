@@ -10,9 +10,9 @@ import math
 
 import pytest
 
+from repro.__main__ import main
 from repro.experiments.diff import (DIFF_KIND, diff_reports, diff_to_json,
                                     format_diff, movement_breaches)
-from repro.experiments.diff import main as diff_main
 from repro.experiments.report import (REPORT_KIND, REPORT_SCHEMA,
                                       format_report, report_to_json,
                                       validate_report)
@@ -251,16 +251,16 @@ def test_fail_on_movement_cli_gate(tmp_path, capsys):
     other_path = _write_report(tmp_path, "other.json", other)
 
     # Self-diff passes even the strictest gate.
-    assert diff_main([base_path, base_path, "--fail-on-movement"]) == 0
+    assert main(["diff", base_path, base_path, "--fail-on-movement"]) == 0
     # Bare flag: any movement at all fails.
-    assert diff_main([base_path, other_path, "--fail-on-movement"]) == 1
+    assert main(["diff", base_path, other_path, "--fail-on-movement"]) == 1
     assert "FAIL" in capsys.readouterr().out
     # Thresholded: 0.1% movement passes a 5% gate...
-    assert diff_main([base_path, other_path,
-                      "--fail-on-movement", "0.05"]) == 0
+    assert main(["diff", base_path, other_path,
+                 "--fail-on-movement", "0.05"]) == 0
     # ...and fails a gate tighter than the movement.
-    assert diff_main([base_path, other_path,
-                      "--fail-on-movement", "0.0001"]) == 1
+    assert main(["diff", base_path, other_path,
+                 "--fail-on-movement", "0.0001"]) == 1
     out = capsys.readouterr().out
     assert "tokens/s" in out and "FAIL" in out
 
@@ -268,6 +268,6 @@ def test_fail_on_movement_cli_gate(tmp_path, capsys):
 def test_fail_on_movement_rejects_bad_threshold(tmp_path):
     path = _write_report(tmp_path, "r.json", _report())
     with pytest.raises(SystemExit):
-        diff_main([path, path, "--fail-on-movement", "not-a-number"])
+        main(["diff", path, path, "--fail-on-movement", "not-a-number"])
     with pytest.raises(SystemExit):
-        diff_main([path, path, "--fail-on-movement", "-1"])
+        main(["diff", path, path, "--fail-on-movement", "-1"])
