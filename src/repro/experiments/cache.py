@@ -35,6 +35,8 @@ import time
 from pathlib import Path
 from typing import Any, Dict, List, Optional
 
+from ..obs.ledger import canonical_json
+
 #: Bump on any change to the RunSummary schema *or* to the simulation
 #: model's observable behaviour — on-disk entries from older schemas are
 #: simply never looked up again.
@@ -70,9 +72,8 @@ def canonical(value: Any) -> Any:
 
 def fingerprint(payload: Dict[str, Any]) -> str:
     """SHA-256 hex digest of the canonical JSON rendering of ``payload``."""
-    blob = json.dumps(canonical(payload), sort_keys=True,
-                      separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()
+    return hashlib.sha256(
+        canonical_json(canonical(payload)).encode()).hexdigest()
 
 
 class SimCache:
@@ -218,7 +219,7 @@ def add_parser(subparsers, shared) -> None:
 def _command(args) -> int:
     rows = scan_cache(args.dir)
     if args.json:
-        print(json.dumps(rows, sort_keys=True, separators=(",", ":")))
+        print(canonical_json(rows))
     elif not rows:
         print(f"cache at {args.dir}: empty (no schema directories)")
     else:

@@ -1,7 +1,9 @@
 """Compare two run reports and attribute the movement (``repro diff``).
 
 Given two report JSONs produced by :mod:`.report` (``repro report
---json``), this module computes a structured **diff**: which summary
+--json`` — run records with a ``serving`` section), this module
+identifies each side by its record ``spec`` and ``fingerprint`` and
+computes a structured **diff** of their ``serving`` sections: which summary
 metrics moved and by how much, which phase kinds and causality category
 groups absorbed the time, and which windows the movement concentrates in
 — with the fault overlay of each side attached, so a degradation caused
@@ -17,15 +19,18 @@ phases.
 from __future__ import annotations
 
 import argparse
-import json
 import math
+import sys
 from typing import Dict, List
 
+from ..obs.ledger import canonical_json, validate_record
 from ..obs.requests import GROUPS, PHASE_KINDS
-from .report import REPORT_SCHEMA, load_report, validate_report
+from .report import load_report, run_title
 from .runner import markdown_table
 
 DIFF_KIND = "repro-report-diff"
+#: v3: each side is the record's ``{fingerprint, spec}``.
+DIFF_SCHEMA = 3
 
 #: Summary scalars compared, in display order: (label, section, key-path).
 _SUMMARY_METRICS = (
@@ -49,8 +54,8 @@ _WINDOW_KEYS = ("tokens", "completions", "evictions", "sheds",
                 "aborts", "retries")
 
 
-def _get(report: Dict, section: str, path) -> float:
-    node = report[section]
+def _get(record: Dict, section: str, path) -> float:
+    node = record["serving"][section]
     for key in path:
         node = node[key]
     return float(node)
@@ -67,9 +72,20 @@ def _delta(a: float, b: float) -> float:
 
 
 def diff_reports(base: Dict, other: Dict) -> Dict:
-    """Structured movement from ``base`` to ``other`` (validated first)."""
-    validate_report(base)
-    validate_report(other)
+    """Structured movement from ``base`` to ``other`` (validated first).
+
+    Raises ``ValueError`` when the two window series have different
+    widths: windows are matched by index, so that would compare
+    different stretches of simulated time.
+    """
+    validate_record(base, report=True)
+    validate_record(other, report=True)
+    width_a = base["serving"]["window_ns"]
+    width_b = other["serving"]["window_ns"]
+    if width_a != width_b:
+        raise ValueError(f"window widths differ: base window_ns="
+                         f"{width_a}, other window_ns={width_b}; re-run "
+                         f"one side with the other's --window-us")
 
     summary: Dict[str, Dict[str, float]] = {}
     for label, section, path in _SUMMARY_METRICS:
@@ -77,8 +93,8 @@ def diff_reports(base: Dict, other: Dict) -> Dict:
         b = _get(other, section, path)
         summary[label] = {"base": a, "other": b, "delta": _delta(a, b)}
 
-    def side_totals(report, section_key):
-        return report["phases"][section_key]
+    def side_totals(record, section_key):
+        return record["serving"]["phases"][section_key]
 
     phases = {}
     for section_key, keys in (("totals_ns", PHASE_KINDS),
@@ -90,8 +106,8 @@ def diff_reports(base: Dict, other: Dict) -> Dict:
             table[key] = {"base": a, "other": b, "delta": b - a}
         phases[section_key] = table
 
-    base_windows = {w["index"]: w for w in base["windows"]}
-    other_windows = {w["index"]: w for w in other["windows"]}
+    base_windows = {w["index"]: w for w in base["serving"]["windows"]}
+    other_windows = {w["index"]: w for w in other["serving"]["windows"]}
     windows: List[Dict] = []
     for i in sorted(set(base_windows) | set(other_windows)):
         wa = base_windows.get(i)
@@ -117,10 +133,10 @@ def diff_reports(base: Dict, other: Dict) -> Dict:
                        for table in phases.values()
                        for cell in table.values())
     return {
-        "schema": REPORT_SCHEMA,
+        "schema": DIFF_SCHEMA,
         "kind": DIFF_KIND,
-        "base": dict(base["run"]),
-        "other": dict(other["run"]),
+        "base": {k: base[k] for k in ("fingerprint", "spec")},
+        "other": {k: other[k] for k in ("fingerprint", "spec")},
         "summary": summary,
         "phases": phases,
         "windows": windows,
@@ -131,16 +147,9 @@ def diff_reports(base: Dict, other: Dict) -> Dict:
 def format_diff(diff: Dict, max_window_rows: int = 15) -> str:
     """Deterministic terminal rendering; prints the grep-able
     ``no movement`` line when the reports are identical."""
-    def who(run: Dict) -> str:
-        bits = [str(run[k]) for k in ("system", "model") if k in run]
-        if run.get("fault_intensity"):
-            bits.append(f"faults x={run['fault_intensity']:g}")
-        if "seed" in run:
-            bits.append(f"seed {run['seed']}")
-        return " ".join(bits) or "run"
-
-    head = (f"### repro report diff — base: {who(diff['base'])} | "
-            f"other: {who(diff['other'])}")
+    head = (f"### repro report diff — base: "
+            f"{run_title(diff['base']['spec'])} | "
+            f"other: {run_title(diff['other']['spec'])}")
     if not diff["moved"]:
         return head + "\n\nno movement: reports are identical on all " \
                       "tracked metrics"
@@ -196,10 +205,6 @@ def format_diff(diff: Dict, max_window_rows: int = 15) -> str:
             markdown_table(["w", "t (us)", "tok Δ", "done Δ", "evict Δ",
                             "retry Δ", "faulted"], rows))
     return "\n\n".join(blocks)
-
-
-def diff_to_json(diff: Dict) -> str:
-    return json.dumps(diff, sort_keys=True, separators=(",", ":"))
 
 
 def movement_breaches(diff: Dict, threshold: float) -> List[str]:
@@ -268,11 +273,15 @@ def add_parser(subparsers, shared) -> None:
 
 def _command(args) -> int:
     threshold = args.fail_on_movement
-    diff = diff_reports(load_report(args.base), load_report(args.other))
+    try:
+        diff = diff_reports(load_report(args.base), load_report(args.other))
+    except ValueError as exc:
+        print(f"repro diff: {exc}", file=sys.stderr)
+        return 2
     print(format_diff(diff))
     if args.json:
         with open(args.json, "w") as fh:
-            fh.write(diff_to_json(diff) + "\n")
+            fh.write(canonical_json(diff) + "\n")
         print(f"\ndiff: {args.json}")
     if threshold == "any":
         if diff["moved"]:

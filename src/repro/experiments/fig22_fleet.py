@@ -193,46 +193,3 @@ def format_fleet_summary(result: FleetResult) -> str:
                kv=row["kv_peak_bytes"] / 1e6)
            for row in result.per_replica]
     return "\n".join(lines + per)
-
-
-def replica_zero_report(system: str = "CAIS", scale: Scale = DEFAULT,
-                        seed: int = 2026,
-                        window_ns: float = 100_000.0) -> Dict:
-    """The ``--report`` artifact for fig22: replica 0's run under sinks.
-
-    Reports are per-simulation (the sinks instrument one engine), so the
-    fleet's report drills into its first replica's stream at peak load —
-    the same requests that replica serves inside the full fig22 run, by
-    the determinism of the router plan."""
-    from .. import obs
-    from ..llm.serving import simulate_serving
-    from ..systems import make_system
-    from .report import build_report
-    from .runner import style_for
-
-    fleet = fleet_spec_for(scale, max(LOADS), seed)
-    plan = plan_fleet(fleet)
-    rs = plan.stage1[0]
-    cfg = dgx_h100_config(seed=seed)
-    prev_ts = obs.current_timeseries()
-    prev_rl = obs.current_request_log()
-    prev_cz = obs.current_causality()
-    obs.install(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
-                request_log=obs.RequestLog(),
-                causality=obs.CausalityRecorder())
-    try:
-        instance = make_system(system, cfg, tiling=scale.tiling,
-                               chunk_bytes=scale.coll_chunk_bytes)
-        serving = simulate_serving(instance, rs.spec,
-                                   style=style_for(system),
-                                   requests=rs.to_requests())
-    finally:
-        obs.install(timeseries=prev_ts, request_log=prev_rl,
-                    causality=prev_cz)
-    return build_report(
-        serving, slo_ttft_ms=SLO_TTFT_MS,
-        extra_run={"system": system, "model": fleet.serving.model,
-                   "seed": seed, "scale": scale.tokens_fraction,
-                   "workload": "fleet", "role": rs.role,
-                   "replica": rs.index, "replicas": fleet.replicas,
-                   "policy": fleet.policy})

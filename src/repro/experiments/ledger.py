@@ -10,7 +10,8 @@ queries the accumulated history:
   path and ``python -m repro run --ledger`` all use these (a direct run
   describes itself as the equivalent task and projects its result with
   :meth:`~.parallel.RunSummary.from_result`), so every record of the
-  same run carries a byte-identical stable section.
+  same run carries a byte-identical stable section.  ``repro report``
+  builds its record with the same function (:mod:`.report`).
 * ``python -m repro ledger query|summarize|regress`` (:func:`add_parser`) —
   filter recorded runs, per-system trends across history, and a drift
   gate comparing the ledger against the committed benchmark envelopes
@@ -27,7 +28,8 @@ from collections import defaultdict
 from typing import Any, Dict, List, Optional
 
 from ..common import fastpath
-from ..obs.ledger import RunLedger, build_record, stable_line
+from ..obs.ledger import RunLedger, build_record, canonical_json, \
+    stable_line
 from .cache import canonical
 from .runner import markdown_table
 
@@ -391,8 +393,7 @@ def _command(args) -> int:
             matched = matched[-args.limit:]
         if args.json:
             for rec in matched:
-                print(json.dumps(rec, sort_keys=True,
-                                 separators=(",", ":")))
+                print(canonical_json(rec))
         else:
             print(format_query(matched))
         return 0
@@ -401,8 +402,7 @@ def _command(args) -> int:
         matched = filter_records(records, system=args.system)
         groups = summarize_records(matched)
         if args.json:
-            print(json.dumps(groups, sort_keys=True,
-                             separators=(",", ":")))
+            print(canonical_json(groups))
         else:
             print(format_summary(groups))
         return 0

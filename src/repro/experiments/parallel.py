@@ -345,7 +345,7 @@ def _execute_task(task: SimTask) -> Tuple[RunSummary, float]:
             serving = _run_replica(task)
             result = serving.run
         elif task.serving is not None:
-            result = _run_serving(task)
+            result = _run_serving(task).run
         elif task.ablation is not None:
             result = _run_ablation(task)
         else:
@@ -426,7 +426,8 @@ def _task_label(task: SimTask) -> str:
 
 
 def _run_serving(task: SimTask):
-    """One request-level serving run (the fig20 workload).
+    """One request-level serving run (the fig20 workload); returns the
+    :class:`~repro.llm.serving.ServingResult`.
 
     The system instance is built exactly like :func:`runner.run_system`
     builds it; the serving driver then owns the graph sequence, so the
@@ -439,7 +440,7 @@ def _run_serving(task: SimTask):
                            chunk_bytes=task.scale.coll_chunk_bytes,
                            **dict(task.kwargs))
     return simulate_serving(instance, task.serving,
-                            style=style_for(task.system)).run
+                            style=style_for(task.system))
 
 
 def _run_replica(task: SimTask):

@@ -7,41 +7,48 @@ tails, the per-window time series recorded by
 the per-request phase/category time breakdown from
 :class:`repro.obs.RequestLog`, and a worst-request drill-down.
 
-The report is a plain JSON-serializable dict (``schema`` versioned, see
-DESIGN.md §10) and a pure function of the simulation outputs, which are a
-pure function of the seed — so two same-seed runs produce byte-identical
-report files, and ``repro diff`` (:mod:`.diff`) can attribute every metric
-movement between two reports to specific windows and phases.
+A report is not a shape of its own: it is the run record
+(:mod:`repro.obs.ledger`) that :func:`~.ledger.record_for_task` builds for
+the serving or replica :class:`~.parallel.SimTask` that ran, plus one
+``serving`` section holding the views above (DESIGN.md §10).  Report
+files hold the record's stable view (``volatile`` stripped), a pure
+function of the seed — so two same-seed runs produce byte-identical
+files, and ``repro diff`` (:mod:`.diff`) can attribute every metric
+movement between two reports to specific windows and phases.  Reports
+are never appended to the ledger: the sinks force the reference engine
+path, so their ``events``/``fastpath.*`` differ from the matrix record
+with the same fingerprint.
 
 Entry points:
 
-* :func:`run_report` — run one serving simulation with the time-series
-  and request-log sinks installed and build its report.
+* :func:`run_report` — run one serving or replica task with the
+  time-series, request-log and causality sinks installed and build its
+  record.
 * ``python -m repro report`` (:func:`add_parser`) — CLI wrapper; renders
   the report for the terminal and optionally writes the JSON artifact.
 * :func:`experiment_report` — the ``--report`` hook of
-  ``python -m repro experiments`` for fig19/fig20-style runs.
+  ``python -m repro experiments`` for fig19–fig22.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import time
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .. import obs
 from ..common.config import dgx_h100_config
+from ..llm.serving import exact_quantile
+from ..obs.ledger import TAIL_KEYS, stable_line, validate_record
 from ..obs.metrics import Histogram
 from ..obs.requests import GROUPS, PHASE_KINDS
 from .fig19_resilience import fault_spec_for
 from .fig20_serving import spec_for
-from .runner import DEFAULT, Scale, markdown_table, style_for
-
-#: Report JSON schema version; bump on incompatible shape changes.
-#: v2: summary.shed/aborts and per-window sheds/aborts counters joined
-#: with the resilient-serving subsystem (DESIGN.md §12).
-REPORT_SCHEMA = 2
-REPORT_KIND = "repro-report"
+from .ledger import record_for_task
+from .parallel import RunSummary, SimTask, _run_replica, _run_serving
+from .runner import DEFAULT, Scale, markdown_table
 
 #: Default SLO targets, calibrated so the quick fig20 stream lands
 #: strictly between 0% and 100% attainment on every system (saturated
@@ -63,25 +70,16 @@ _WINDOW_COUNTERS = (
 )
 
 
-def _quantile(values: Sequence[float], q: float) -> float:
-    """Nearest-rank quantile (same convention as the serving layer)."""
-    if not values:
-        return math.nan
-    ordered = sorted(values)
-    rank = max(0, math.ceil(q * len(ordered)) - 1)
-    return ordered[min(rank, len(ordered) - 1)]
-
-
 def _tail(values: Sequence[float]) -> Dict[str, float]:
     """The report's standard tail summary of one latency sample."""
     if not values:
         return {"p50": math.nan, "p90": math.nan, "p95": math.nan,
                 "p99": math.nan, "mean": math.nan, "max": math.nan}
     return {
-        "p50": _quantile(values, 0.50),
-        "p90": _quantile(values, 0.90),
-        "p95": _quantile(values, 0.95),
-        "p99": _quantile(values, 0.99),
+        "p50": exact_quantile(values, 0.50),
+        "p90": exact_quantile(values, 0.90),
+        "p95": exact_quantile(values, 0.95),
+        "p99": exact_quantile(values, 0.99),
         "mean": sum(values) / len(values),
         "max": max(values),
     }
@@ -123,17 +121,25 @@ def _window_rows(snapshot: Dict, makespan_ns: float) -> List[Dict]:
     return rows
 
 
-def build_report(serving, *, slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
+def build_report(task: SimTask, serving, *, wall_ms: float = 0.0,
+                 slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
                  slo_tpot_ms: float = DEFAULT_SLO_TPOT_MS,
-                 worst_n: int = 5,
-                 extra_run: Optional[Dict[str, object]] = None) -> Dict:
-    """Build the report dict for one :class:`ServingResult`.
+                 worst_n: int = 5) -> Dict:
+    """The run record of ``task``, whose run produced the
+    :class:`ServingResult` ``serving``, plus its ``serving`` section.
 
     The result's :class:`RunResult` carries the time-series sink and
     request log when they were installed for the run; either may be
-    absent, in which case the corresponding sections are empty.
+    absent, in which case the corresponding parts are empty.  The host
+    event throughput is wall-clock, so it joins the record's
+    ``volatile`` section and only the terminal rendering shows it.
     """
     run = serving.run
+    record = record_for_task(task, RunSummary.from_result(run),
+                             cache_hit=False, wall_ms=wall_ms)
+    if run.network is not None and hasattr(run.network, "sim"):
+        record["volatile"]["events_per_wall_second"] = \
+            run.network.sim.events_per_wall_second()
     makespan = run.makespan_ns
     stats = serving.stats
     ttfts = [s.ttft_ns for s in stats]
@@ -153,10 +159,7 @@ def build_report(serving, *, slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
     tpot_ok = sum(1 for s in tpot_eligible if s.tpot_ns <= slo_tpot_ns)
     n = len(stats)
 
-    report: Dict[str, object] = {
-        "schema": REPORT_SCHEMA,
-        "kind": REPORT_KIND,
-        "run": dict(extra_run or {}),
+    section: Dict[str, object] = {
         "summary": {
             "requests": n,
             "tokens": serving.total_output_tokens,
@@ -184,30 +187,16 @@ def build_report(serving, *, slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
         },
     }
 
-    # Engine health: event count, host-side throughput (wall-clock, so
-    # volatile — excluded from `repro diff`'s tracked keys), and the
-    # fast-path layer counters (deterministic, from run details).
-    eps = None
-    if run.network is not None and hasattr(run.network, "sim"):
-        eps = run.network.sim.events_per_wall_second()
-    report["engine"] = {
-        "events": run.events,
-        "events_per_wall_second": eps,
-        "fastpath": {k[len("fastpath."):]: v
-                     for k, v in run.details.items()
-                     if k.startswith("fastpath.")},
-    }
-
     ts = run.timeseries
     if ts is not None:
         snapshot = ts.snapshot(makespan)
-        report["window_ns"] = snapshot["window_ns"]
-        report["windows"] = _window_rows(snapshot, makespan)
-        report["fault_windows"] = snapshot["marks"]
+        section["window_ns"] = snapshot["window_ns"]
+        section["windows"] = _window_rows(snapshot, makespan)
+        section["fault_windows"] = snapshot["marks"]
     else:
-        report["window_ns"] = None
-        report["windows"] = []
-        report["fault_windows"] = []
+        section["window_ns"] = None
+        section["windows"] = []
+        section["fault_windows"] = []
 
     reqlog = run.request_log
     if reqlog is not None:
@@ -218,8 +207,8 @@ def build_report(serving, *, slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
                 for g in GROUPS}
         by_rid = {s.rid: s for s in stats}
         worst = sorted(records, key=lambda r: (-r.e2e_ns, r.rid))[:worst_n]
-        report["phases"] = {"totals_ns": totals, "categories_ns": cats}
-        report["worst_requests"] = [{
+        section["phases"] = {"totals_ns": totals, "categories_ns": cats}
+        section["worst_requests"] = [{
             "rid": r.rid,
             "arrival_ns": r.arrival_ns,
             "e2e_ns": r.e2e_ns,
@@ -231,103 +220,30 @@ def build_report(serving, *, slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
             "categories_ns": {g: r.category_total_ns(g) for g in GROUPS},
         } for r in worst]
     else:
-        report["phases"] = {"totals_ns": {}, "categories_ns": {}}
-        report["worst_requests"] = []
-    return report
+        section["phases"] = {"totals_ns": {}, "categories_ns": {}}
+        section["worst_requests"] = []
+    record["serving"] = section
+    validate_record(record)
+    return record
 
 
 # ---------------------------------------------------------------------------
-# Validation
+# Files and rendering
 # ---------------------------------------------------------------------------
 
-_TAIL_KEYS = ("p50", "p90", "p95", "p99", "mean", "max")
-
-
-def validate_report(report: Dict) -> None:
-    """Structural check of a report dict; raises ``ValueError`` on the
-    first violation (the CI schema gate and ``repro diff`` both call
-    this before trusting a file)."""
-    def need(obj, key, types, where):
-        if key not in obj:
-            raise ValueError(f"report: missing {where}.{key}")
-        if types is not None and not isinstance(obj[key], types):
-            raise ValueError(
-                f"report: {where}.{key} has type "
-                f"{type(obj[key]).__name__}, expected "
-                f"{'/'.join(t.__name__ for t in types)}")
-        return obj[key]
-
-    if not isinstance(report, dict):
-        raise ValueError("report: not a JSON object")
-    if report.get("kind") != REPORT_KIND:
-        raise ValueError(f"report: kind is {report.get('kind')!r}, "
-                         f"expected {REPORT_KIND!r}")
-    if report.get("schema") != REPORT_SCHEMA:
-        raise ValueError(f"report: schema {report.get('schema')!r} "
-                         f"!= supported {REPORT_SCHEMA}")
-    need(report, "run", (dict,), "")
-    summary = need(report, "summary", (dict,), "")
-    for key in ("requests", "tokens", "iterations", "evictions",
-                "shed", "aborts"):
-        need(summary, key, (int,), "summary")
-    for key in ("makespan_ns", "tokens_per_s"):
-        need(summary, key, (int, float), "summary")
-    for key in ("ttft_ns", "tpot_ns", "e2e_ns"):
-        tail = need(summary, key, (dict,), "summary")
-        for t in _TAIL_KEYS:
-            need(tail, t, (int, float), f"summary.{key}")
-    slo = need(report, "slo", (dict,), "")
-    for key in ("ttft_ms", "tpot_ms", "ttft_attainment",
-                "tpot_attainment", "attainment", "goodput_tokens_per_s"):
-        need(slo, key, (int, float), "slo")
-    windows = need(report, "windows", (list,), "")
-    for i, win in enumerate(windows):
-        if not isinstance(win, dict):
-            raise ValueError(f"report: windows[{i}] is not an object")
-        for key in ("index", "start_ns", "end_ns", "tokens",
-                    "completions", "evictions", "sheds", "aborts",
-                    "retries"):
-            need(win, key, (int, float), f"windows[{i}]")
-        need(win, "faults", (list,), f"windows[{i}]")
-    for i, mark in enumerate(need(report, "fault_windows", (list,), "")):
-        need(mark, "start_ns", (int, float), f"fault_windows[{i}]")
-        need(mark, "label", (str,), f"fault_windows[{i}]")
-    phases = need(report, "phases", (dict,), "")
-    need(phases, "totals_ns", (dict,), "phases")
-    need(phases, "categories_ns", (dict,), "phases")
-    need(report, "worst_requests", (list,), "")
-
-
-# ---------------------------------------------------------------------------
-# Rendering / serialization
-# ---------------------------------------------------------------------------
-
-def report_to_json(report: Dict) -> str:
-    """Canonical byte-stable serialization (sorted keys, no whitespace).
-
-    Host-wall-clock quantities are volatile (they change run to run even
-    when the simulation is byte-identical), so — like volatile gauges in
-    ``MetricsRegistry.snapshot`` — they are stripped from the serialized
-    form and live only in the terminal rendering.
-    """
-    if "engine" in report:
-        engine = dict(report["engine"])
-        engine.pop("events_per_wall_second", None)
-        report = dict(report, engine=engine)
-    return json.dumps(report, sort_keys=True, separators=(",", ":"))
-
-
-def write_report(report: Dict, path: str) -> None:
-    validate_report(report)
+def write_report(record: Dict, path: str) -> None:
+    """Write the record's stable view: byte-identical across same-seed
+    runs (the wall-clock ``volatile`` section stays in memory)."""
+    validate_record(record)
     with open(path, "w") as fh:
-        fh.write(report_to_json(report) + "\n")
+        fh.write(stable_line(record) + "\n")
 
 
 def load_report(path: str) -> Dict:
     with open(path) as fh:
-        report = json.load(fh)
-    validate_report(report)
-    return report
+        record = json.load(fh)
+    validate_record(record, report=True)
+    return record
 
 
 def _ms(ns: Optional[float]) -> object:
@@ -336,22 +252,37 @@ def _ms(ns: Optional[float]) -> object:
     return ns / 1e6
 
 
-def format_report(report: Dict, max_window_rows: int = 40) -> str:
-    """Deterministic terminal rendering of one report."""
-    run = report["run"]
+def run_title(spec: Dict) -> str:
+    """``system model [role] (seed S[, fault intensity X])`` of a record
+    spec, for report and diff headers."""
+    name = " ".join(str(spec[k]) for k in ("system", "model", "role")
+                    if spec.get(k)) or "run"
+    # A fault-free FaultSpec still carries intensity 1.0: test `enabled`.
+    faults = spec.get("faults") or {}
+    extra = (f", fault intensity {faults['intensity']:g}"
+             if faults.get("enabled") else "")
+    return f"{name} (seed {spec.get('seed', '?')}{extra})"
+
+
+def format_report(record: Dict, max_window_rows: int = 40) -> str:
+    """Deterministic terminal rendering of one report record (plus the
+    host event rate when the in-memory record still has ``volatile``)."""
+    report = record["serving"]
     summary = report["summary"]
     slo = report["slo"]
-    title = " ".join(str(run[k]) for k in ("system", "model")
-                     if k in run) or "serving run"
     hiccups = f"{summary['evictions']} evictions"
     if summary.get("shed"):
         hiccups += f", {summary['shed']} shed"
     if summary.get("aborts"):
         hiccups += f", {summary['aborts']} aborts"
-    head = [f"### repro run report — {title} "
-            f"(seed {run.get('seed', '?')}"
-            + (f", fault intensity {run['fault_intensity']:g}"
-               if run.get("fault_intensity") else "") + ")",
+    engine = f"engine: {record['metrics']['events']:,} events"
+    eps = record.get("volatile", {}).get("events_per_wall_second")
+    if eps:
+        engine += f" ({eps:,.0f}/s host)"
+    elided = record["details"].get("fastpath.events_elided")
+    if elided:
+        engine += f", fast-path elided {int(elided):,}"
+    head = [f"### repro run report — {run_title(record['spec'])}",
             "",
             f"{summary['requests']} requests, {summary['tokens']} tokens "
             f"in {summary['iterations']} iterations "
@@ -362,20 +293,11 @@ def format_report(report: Dict, max_window_rows: int = 40) -> str:
             f"{slo['tpot_ms']:g} ms): TTFT {slo['ttft_attainment']:.1%}, "
             f"TPOT {slo['tpot_attainment']:.1%}, joint "
             f"{slo['attainment']:.1%}, goodput "
-            f"{slo['goodput_tokens_per_s']:,.0f} tokens/s"]
-    engine = report.get("engine") or {}
-    if engine:
-        line = f"engine: {engine['events']:,} events"
-        eps = engine.get("events_per_wall_second")
-        if eps:
-            line += f" ({eps:,.0f}/s host)"
-        fp = engine.get("fastpath") or {}
-        if fp.get("events_elided"):
-            line += f", fast-path elided {int(fp['events_elided']):,}"
-        head.append(line)
+            f"{slo['goodput_tokens_per_s']:,.0f} tokens/s",
+            engine]
     tails = markdown_table(
-        ["metric (ms)"] + list(_TAIL_KEYS),
-        [[name] + [_ms(summary[key][t]) for t in _TAIL_KEYS]
+        ["metric (ms)"] + list(TAIL_KEYS),
+        [[name] + [_ms(summary[key][t]) for t in TAIL_KEYS]
          for name, key in (("TTFT", "ttft_ns"), ("TPOT", "tpot_ns"),
                            ("E2E", "e2e_ns"))])
     blocks = ["\n".join(head), "#### Latency tails\n" + tails]
@@ -435,86 +357,93 @@ def format_report(report: Dict, max_window_rows: int = 40) -> str:
 # Running
 # ---------------------------------------------------------------------------
 
-def run_report(system: str = "CAIS", scale: Scale = DEFAULT,
-               seed: int = 2026, fault_intensity: float = 0.0,
-               fault_seed: int = 0, window_ns: float = 100_000.0,
-               slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
-               slo_tpot_ms: float = DEFAULT_SLO_TPOT_MS,
-               worst_n: int = 5, admission_policy: str = "none",
-               retry_budget: Optional[int] = None) -> Dict:
-    """Run one serving simulation with reporting sinks and build its report.
+def serving_task(system: str = "CAIS", scale: Scale = DEFAULT,
+                 seed: int = 2026, fault_intensity: float = 0.0,
+                 fault_seed: int = 0, admission_policy: str = "none",
+                 slo_ttft_ms: float = DEFAULT_SLO_TTFT_MS,
+                 retry_budget: Optional[int] = None) -> SimTask:
+    """The fig20-stream serving task a report runs.
 
-    Uses the fig20 request stream; a positive ``fault_intensity`` applies
-    the fig19 fault schedule on top (the "faulted fig19-style serving
-    run").  ``admission_policy`` / ``retry_budget`` arm the resilient
-    serving mechanisms (DESIGN.md §12) with the report's TTFT target as
-    the admission SLO.  The previously-installed sinks are restored
-    afterwards, so this can run inside the experiments CLI without
-    clobbering its metrics registry.
+    A positive ``fault_intensity`` applies the fig19 fault schedule on
+    top (the "faulted fig19-style serving run").  ``admission_policy`` /
+    ``retry_budget`` arm the resilient serving mechanisms (DESIGN.md
+    §12) with ``slo_ttft_ms`` as the admission SLO.  With the defaults
+    this is exactly fig20's task for ``system``, fingerprint included.
     """
-    from dataclasses import replace as dc_replace
-
-    from ..llm.serving import simulate_serving
-    from ..systems import make_system
-
     cfg = dgx_h100_config(seed=seed)
     if fault_intensity > 0.0:
         cfg = cfg.with_faults(fault_spec_for(fault_intensity, fault_seed))
     spec = spec_for(scale, seed)
     if admission_policy != "none" or retry_budget is not None:
-        spec = dc_replace(spec, admission_policy=admission_policy,
-                          slo_ttft_ms=slo_ttft_ms,
-                          retry_budget=retry_budget)
+        spec = replace(spec, admission_policy=admission_policy,
+                       slo_ttft_ms=slo_ttft_ms, retry_budget=retry_budget)
+    return SimTask(system=system, graphs=(), config=cfg, scale=scale,
+                   serving=spec)
+
+
+def run_report(task: SimTask, *, window_ns: float = 100_000.0,
+               **slo) -> Dict:
+    """Run one serving or replica task with the reporting sinks and
+    build its report record (``slo``: the SLO targets and ``worst_n``
+    of :func:`build_report`).
+
+    The task runs through the same code path as in a matrix sweep, so the
+    record's spec and fingerprint are the sweep's.  The previously
+    installed sinks are restored afterwards, so this can run inside the
+    experiments CLI without clobbering its metrics registry.
+    """
     prev_ts = obs.current_timeseries()
     prev_rl = obs.current_request_log()
     prev_cz = obs.current_causality()
     obs.install(timeseries=obs.TimeSeriesSink(window_ns=window_ns),
                 request_log=obs.RequestLog(),
                 causality=obs.CausalityRecorder())
+    start = time.perf_counter()
     try:
-        instance = make_system(system, cfg, tiling=scale.tiling,
-                               chunk_bytes=scale.coll_chunk_bytes)
-        serving = simulate_serving(instance, spec,
-                                   style=style_for(system))
+        serving = (_run_replica if task.replica is not None
+                   else _run_serving)(task)
     finally:
         obs.install(timeseries=prev_ts, request_log=prev_rl,
                     causality=prev_cz)
-    return build_report(
-        serving, slo_ttft_ms=slo_ttft_ms, slo_tpot_ms=slo_tpot_ms,
-        worst_n=worst_n,
-        extra_run={"system": system, "model": spec.model, "seed": seed,
-                   "scale": scale.tokens_fraction,
-                   "fault_intensity": fault_intensity,
-                   "fault_seed": fault_seed,
-                   "workload": "serving"})
+    return build_report(task, serving,
+                        wall_ms=(time.perf_counter() - start) * 1e3,
+                        **slo)
 
 
 def experiment_report(experiment: str, scale: Scale, ctx=None) -> Dict:
     """The ``--report`` artifact for an experiments-CLI invocation.
 
-    ``fig20_serving`` emits the fault-free serving report; ``fig19`` the
-    faulted one (intensity 1.0, the sweep's peak, honoring an ambient
-    ``--fault-seed``); ``fig21`` the faulted run with fig21's resilience
-    mechanisms armed (shed admission, retry budget); ``fig22`` drills
-    into the fleet's replica-0 stream at peak load.
+    ``fig20_serving`` reports its fault-free CAIS task; ``fig19`` the
+    faulted serving run (intensity 1.0, the sweep's peak, honoring an
+    ambient ``--fault-seed``); ``fig21`` its peak-intensity CAIS task,
+    resilience mechanisms armed.  Reports are per-simulation (the sinks
+    instrument one engine), so ``fig22`` drills into the CAIS fleet's
+    replica-0 task at peak load — the same requests that replica serves
+    inside the full fig22 run, by the determinism of the router plan.
     """
     fault_seed = (ctx.fault_spec.fault_seed
                   if ctx is not None and ctx.fault_spec is not None else 0)
     if experiment == "fig20_serving":
-        return run_report(scale=scale)
+        return run_report(serving_task(scale=scale))
     if experiment == "fig19":
-        return run_report(scale=scale, fault_intensity=1.0,
-                          fault_seed=fault_seed)
+        return run_report(serving_task(scale=scale, fault_intensity=1.0,
+                                       fault_seed=fault_seed))
     if experiment == "fig21":
         from .fig21_faulted_serving import RETRY_BUDGET, SLO_TTFT_MS
-        return run_report(scale=scale, fault_intensity=1.0,
-                          fault_seed=fault_seed,
-                          slo_ttft_ms=SLO_TTFT_MS,
-                          admission_policy="shed",
-                          retry_budget=RETRY_BUDGET)
+        return run_report(
+            serving_task(scale=scale, fault_intensity=1.0,
+                         fault_seed=fault_seed, admission_policy="shed",
+                         slo_ttft_ms=SLO_TTFT_MS,
+                         retry_budget=RETRY_BUDGET),
+            slo_ttft_ms=SLO_TTFT_MS)
     if experiment == "fig22":
-        from .fig22_fleet import replica_zero_report
-        return replica_zero_report(scale=scale)
+        from ..llm.fleet import plan_fleet
+        from .fig22_fleet import LOADS, SLO_TTFT_MS, fleet_spec_for
+        replica = plan_fleet(fleet_spec_for(scale, max(LOADS))).stage1[0]
+        return run_report(
+            SimTask(system="CAIS", graphs=(), config=dgx_h100_config(),
+                    scale=scale, replica=replica),
+            slo_ttft_ms=SLO_TTFT_MS)
     raise ValueError(
         f"--report supports fig19, fig20_serving, fig21 and fig22, "
         f"not {experiment!r}")
@@ -560,22 +489,23 @@ def add_parser(subparsers, shared) -> None:
 def _command(args) -> int:
     """Run-and-render, or render an existing report (``--from``)."""
     if args.from_path:
-        report = load_report(args.from_path)
+        record = load_report(args.from_path)
     else:
-        report = run_report(
+        task = serving_task(
             system=args.system,
             scale=Scale(tokens_fraction=args.scale),
             seed=args.seed,
             fault_intensity=(args.fault_intensity if args.faults else 0.0),
             fault_seed=args.fault_seed,
-            window_ns=args.window_us * 1e3,
-            slo_ttft_ms=args.slo_ttft_ms,
-            slo_tpot_ms=args.slo_tpot_ms,
-            worst_n=args.worst,
             admission_policy=args.admission,
+            slo_ttft_ms=args.slo_ttft_ms,
             retry_budget=args.retry_budget)
-    print(format_report(report))
+        record = run_report(task, window_ns=args.window_us * 1e3,
+                            slo_ttft_ms=args.slo_ttft_ms,
+                            slo_tpot_ms=args.slo_tpot_ms,
+                            worst_n=args.worst)
+    print(format_report(record))
     if args.json:
-        write_report(report, args.json)
+        write_report(record, args.json)
         print(f"\nreport: {args.json}")
     return 0

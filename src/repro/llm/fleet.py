@@ -47,9 +47,9 @@ from .serving import (
     Request,
     RequestStats,
     ServingSpec,
+    exact_quantile,
     generate_requests,
     kv_bytes_per_token,
-    _exact_quantile,
 )
 
 #: Pluggable load-balancing policies (see :class:`Router`).
@@ -493,7 +493,7 @@ class FleetResult:
         return self.total_output_tokens / self.makespan_ns * 1e9
 
     def ttft_quantile_ns(self, q: float) -> float:
-        return _exact_quantile([s.ttft_ns for s in self.stats], q)
+        return exact_quantile([s.ttft_ns for s in self.stats], q)
 
     def slo_attainment(self, slo_ttft_ns: float) -> float:
         """Fraction of the offered stream finished within the TTFT SLO —

@@ -281,7 +281,7 @@ class AdmissionController:
 
     def windowed_p95_ns(self, now_ns: float) -> float:
         self._prune(now_ns)
-        return _exact_quantile([t for _, t in self._samples], 0.95)
+        return exact_quantile([t for _, t in self._samples], 0.95)
 
     def update(self, now_ns: float) -> bool:
         """Re-evaluate the gate; returns True while admission is gated."""
@@ -687,7 +687,7 @@ class ServingResult:
         return self.total_output_tokens / self.makespan_ns * 1e9
 
     def ttft_quantile_ns(self, q: float) -> float:
-        return _exact_quantile([s.ttft_ns for s in self.stats], q)
+        return exact_quantile([s.ttft_ns for s in self.stats], q)
 
     def mean_ttft_ns(self) -> float:
         return sum(s.ttft_ns for s in self.stats) / len(self.stats)
@@ -715,7 +715,7 @@ class ServingResult:
                    if s.ttft_ns <= slo_ttft_ns)
 
 
-def _exact_quantile(values: List[float], q: float) -> float:
+def exact_quantile(values: List[float], q: float) -> float:
     """Nearest-rank quantile over the exact sample (no bucketing)."""
     if not values:
         return 0.0
@@ -997,13 +997,13 @@ def simulate_serving(system, spec: ServingSpec,
         clean = [s for s in stats if not _degraded(s)]
         degraded = [s for s in stats if _degraded(s)]
         details["serving.degraded_requests"] = float(len(degraded))
-        details["serving.ttft_p95_clean_ns"] = _exact_quantile(
+        details["serving.ttft_p95_clean_ns"] = exact_quantile(
             [s.ttft_ns for s in clean], 0.95)
-        details["serving.ttft_p95_degraded_ns"] = _exact_quantile(
+        details["serving.ttft_p95_degraded_ns"] = exact_quantile(
             [s.ttft_ns for s in degraded], 0.95)
-        details["serving.tpot_p95_clean_ns"] = _exact_quantile(
+        details["serving.tpot_p95_clean_ns"] = exact_quantile(
             [s.tpot_ns for s in clean if s.output_len > 1], 0.95)
-        details["serving.tpot_p95_degraded_ns"] = _exact_quantile(
+        details["serving.tpot_p95_degraded_ns"] = exact_quantile(
             [s.tpot_ns for s in degraded if s.output_len > 1], 0.95)
     run = session.finish(**details)
     partial.run = run

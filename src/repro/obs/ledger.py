@@ -1,4 +1,4 @@
-"""Append-only cross-run ledger of completed simulations.
+"""The run record and the append-only cross-run ledger of them.
 
 Per-run observability (traces, ``explain``, ``report``/``diff``) dies
 with the process that produced it; the **run ledger** is the layer that
@@ -9,7 +9,9 @@ file under ``.repro_ledger/``, so the history of runs across working
 sessions (and across PRs, in CI artifacts) becomes a queryable dataset:
 ``python -m repro ledger query/summarize/regress``.
 
-Record model (``LEDGER_SCHEMA``-versioned)::
+The record is the repo's one run-record shape (``LEDGER_SCHEMA``-
+versioned); a ``repro report`` file is the same record plus the optional
+``serving`` section, written as its stable view::
 
     {
       "schema": 1, "kind": "repro-run-record",
@@ -17,16 +19,16 @@ Record model (``LEDGER_SCHEMA``-versioned)::
       "spec":    {...}   # what ran: system/seed/scale/tiling/faults/...
       "metrics": {...}   # deterministic headline scalars (makespan, ...)
       "details": {...}   # deterministic run details (explain.*, faults.*)
+      "serving": {...}   # report only: SLO summary, windows, phases
       "volatile": {...}  # wall time, cache hit/miss, git rev, tools, pid
     }
 
 Everything outside the ``volatile`` section is a pure function of the
 simulation inputs, so two same-seed runs append **byte-identical stable
-sections** (:func:`stable_line`) — the convention volatile gauges and
-``report_to_json`` already follow (DESIGN.md §11/§13).  Wall-clock
-quantities, the cache hit flag (an execution accident, not a property of
-the run), the git revision, and tool versions are quarantined in
-``volatile``.
+sections** (:func:`stable_line`) — the convention volatile gauges also
+follow (DESIGN.md §13).  Wall-clock quantities, the cache hit flag (an
+execution accident, not a property of the run), the git revision, and
+tool versions are quarantined in ``volatile``.
 
 Writes are atomic and concurrent-safe: one ``os.write`` of one complete
 line on an ``O_APPEND`` descriptor, serialized by an ``flock`` where the
@@ -74,48 +76,117 @@ RECORD_KIND = "repro-run-record"
 #: between two same-seed runs of the same code.
 VOLATILE_KEY = "volatile"
 
-#: Keys every record must carry (``volatile`` included — a record with
-#: no provenance is useless for auditing).
+#: Keys every ledger record must carry (``volatile`` included, and last:
+#: a record with no provenance is useless for auditing).
 _REQUIRED = ("schema", "kind", "fingerprint", "spec", "metrics",
              "details", VOLATILE_KEY)
 
 
-def _canonical_json(payload: Dict[str, Any]) -> str:
+def canonical_json(payload: Any) -> str:
+    """The repo's one canonical JSON form: sorted keys, no whitespace.
+
+    Record lines, report files, diff files, cache fingerprints and the
+    ``--json`` printers all serialize through this, so equal payloads
+    are equal bytes."""
     return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
 
-def validate_record(record: Dict[str, Any]) -> None:
-    """Structural check; raises ``ValueError`` naming the first problem."""
+def _need(obj: Dict[str, Any], key: str, types, where: str) -> Any:
+    if not isinstance(obj, dict):
+        raise ValueError(f"run record: {where} is not an object")
+    if key not in obj:
+        raise ValueError(f"run record: missing {where}.{key}")
+    if not isinstance(obj[key], types):
+        raise ValueError(
+            f"run record: {where}.{key} has type "
+            f"{type(obj[key]).__name__}, expected "
+            f"{'/'.join(t.__name__ for t in types)}")
+    return obj[key]
+
+
+_NUM = (int, float)
+#: Latency tails of the ``serving.summary`` TTFT/TPOT/E2E samples.
+TAIL_KEYS = ("p50", "p90", "p95", "p99", "mean", "max")
+
+
+def _validate_serving(serving: Any) -> None:
+    """Structural check of the optional ``serving`` section (the SLO
+    view a ``repro report`` record adds, DESIGN.md §10)."""
+    summary = _need(serving, "summary", (dict,), "serving")
+    for key in ("requests", "tokens", "iterations", "evictions",
+                "shed", "aborts"):
+        _need(summary, key, (int,), "serving.summary")
+    for key in ("makespan_ns", "tokens_per_s"):
+        _need(summary, key, _NUM, "serving.summary")
+    for key in ("ttft_ns", "tpot_ns", "e2e_ns"):
+        tail = _need(summary, key, (dict,), "serving.summary")
+        for t in TAIL_KEYS:
+            _need(tail, t, _NUM, f"serving.summary.{key}")
+    slo = _need(serving, "slo", (dict,), "serving")
+    for key in ("ttft_ms", "tpot_ms", "ttft_attainment",
+                "tpot_attainment", "attainment", "goodput_tokens_per_s"):
+        _need(slo, key, _NUM, "serving.slo")
+    _need(serving, "window_ns", _NUM + (type(None),), "serving")
+    for i, win in enumerate(_need(serving, "windows", (list,), "serving")):
+        at = f"serving.windows[{i}]"
+        for key in ("index", "start_ns", "end_ns", "tokens",
+                    "completions", "evictions", "sheds", "aborts",
+                    "retries"):
+            _need(win, key, _NUM, at)
+        _need(win, "faults", (list,), at)
+    for i, mark in enumerate(_need(serving, "fault_windows", (list,),
+                                   "serving")):
+        _need(mark, "start_ns", _NUM, f"serving.fault_windows[{i}]")
+        _need(mark, "label", (str,), f"serving.fault_windows[{i}]")
+    phases = _need(serving, "phases", (dict,), "serving")
+    _need(phases, "totals_ns", (dict,), "serving.phases")
+    _need(phases, "categories_ns", (dict,), "serving.phases")
+    _need(serving, "worst_requests", (list,), "serving")
+
+
+def validate_record(record: Dict[str, Any], *,
+                    report: bool = False) -> None:
+    """Structural check; raises ``ValueError`` naming the first problem.
+
+    The ledger requires the ``volatile`` provenance section on append
+    and on read.  ``report=True`` checks a report file instead: the
+    record's stable view (``volatile`` stripped) with a required
+    ``serving`` section.  A ``volatile`` or ``serving`` section that is
+    present is checked either way.
+    """
     if not isinstance(record, dict):
-        raise ValueError("ledger record: not a JSON object")
-    for key in _REQUIRED:
+        raise ValueError("run record: not a JSON object")
+    for key in _REQUIRED[:-1] + ("serving",) if report else _REQUIRED:
         if key not in record:
-            raise ValueError(f"ledger record: missing {key!r}")
+            raise ValueError(f"run record: missing {key!r}")
     if record["kind"] != RECORD_KIND:
-        raise ValueError(f"ledger record: kind is {record['kind']!r}, "
+        raise ValueError(f"run record: kind is {record['kind']!r}, "
                          f"expected {RECORD_KIND!r}")
     if record["schema"] != LEDGER_SCHEMA:
-        raise ValueError(f"ledger record: schema {record['schema']!r} "
+        raise ValueError(f"run record: schema {record['schema']!r} "
                          f"!= supported {LEDGER_SCHEMA}")
     fp = record["fingerprint"]
     if not (isinstance(fp, str) and len(fp) == 64
             and all(c in "0123456789abcdef" for c in fp)):
-        raise ValueError(f"ledger record: fingerprint {fp!r} is not a "
+        raise ValueError(f"run record: fingerprint {fp!r} is not a "
                          f"sha256 hex digest")
     for key in ("spec", "metrics", "details", VOLATILE_KEY):
-        if not isinstance(record[key], dict):
-            raise ValueError(f"ledger record: {key!r} must be an object, "
+        if key in record and not isinstance(record[key], dict):
+            raise ValueError(f"run record: {key!r} must be an object, "
                              f"got {type(record[key]).__name__}")
     metrics = record["metrics"]
     for key in ("makespan_ns", "events"):
         if not isinstance(metrics.get(key), (int, float)):
-            raise ValueError(f"ledger record: metrics.{key} missing or "
+            raise ValueError(f"run record: metrics.{key} missing or "
                              f"non-numeric")
-    vol = record[VOLATILE_KEY]
-    if not isinstance(vol.get("cache_hit"), bool):
-        raise ValueError("ledger record: volatile.cache_hit missing")
-    if not isinstance(vol.get("wall_ms"), (int, float)):
-        raise ValueError("ledger record: volatile.wall_ms missing")
+    if VOLATILE_KEY in record:
+        vol = record[VOLATILE_KEY]
+        if not isinstance(vol.get("cache_hit"), bool):
+            raise ValueError("run record: volatile.cache_hit missing")
+        if not isinstance(vol.get("wall_ms"), (int, float)):
+            raise ValueError("run record: volatile.wall_ms missing")
+    if "serving" in record:
+        _validate_serving(record["serving"])
 
 
 def stable_view(record: Dict[str, Any]) -> Dict[str, Any]:
@@ -127,7 +198,7 @@ def stable_view(record: Dict[str, Any]) -> Dict[str, Any]:
 def stable_line(record: Dict[str, Any]) -> str:
     """Canonical one-line JSON of :func:`stable_view` (comparison key for
     the determinism gate and ``ledger regress``)."""
-    return _canonical_json(stable_view(record))
+    return canonical_json(stable_view(record))
 
 
 _GIT_REV: Optional[str] = None
@@ -228,7 +299,7 @@ class RunLedger:
         take a simulation down.
         """
         validate_record(record)
-        data = (_canonical_json(record) + "\n").encode()
+        data = (canonical_json(record) + "\n").encode()
         try:
             self.path.parent.mkdir(parents=True, exist_ok=True)
             fd = os.open(str(self.path),

@@ -15,6 +15,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict, List
 
+from .ledger import canonical_json
 from .tracer import Tracer
 
 #: Phases the validator accepts (the subset the Tracer emits, plus
@@ -61,8 +62,7 @@ def to_chrome_trace(tracer: Tracer) -> Dict[str, Any]:
 def write_chrome_trace(tracer: Tracer, path: str) -> None:
     """Serialize ``tracer`` to ``path`` (deterministic byte output)."""
     with open(path, "w") as fh:
-        json.dump(to_chrome_trace(tracer), fh, sort_keys=True,
-                  separators=(",", ":"))
+        fh.write(canonical_json(to_chrome_trace(tracer)))
 
 
 def validate_chrome_trace(obj: Any) -> List[str]:

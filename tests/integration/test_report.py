@@ -2,14 +2,16 @@
 
 One tiny 4-GPU serving run with every reporting sink installed drives
 the full pipeline: request-log phases -> per-request Perfetto tracks ->
-report dict -> canonical JSON -> self-diff.  Pinned here:
+report record -> canonical JSON -> self-diff.  Pinned here:
 
 * one ``serving/reqNNNN`` track per request, whose phase spans tile the
   request span exactly (durations sum to ``e2e_ns``);
 * same-seed runs produce byte-identical traces and report JSON;
 * installing the sinks does not perturb the simulation itself;
-* a live report validates against the schema and self-diffs to the
-  grep-able "no movement" line.
+* a live report validates as a run record and self-diffs to the
+  grep-able "no movement" line;
+* the ``--report`` records of fig20 and fig22 are the run records of the
+  tasks those figures actually run.
 """
 
 import json
@@ -20,12 +22,16 @@ import pytest
 from repro import obs
 from repro.common import fastpath
 from repro.common.config import dgx_h100_config
+from repro.experiments import fig20_serving
 from repro.experiments.diff import diff_reports, format_diff
-from repro.experiments.report import (build_report, report_to_json,
-                                      validate_report)
+from repro.experiments.ledger import record_for_task
+from repro.experiments.parallel import SimTask, _execute_task
+from repro.experiments.report import build_report, experiment_report
+from repro.experiments.runner import QUICK, Scale
 from repro.llm.models import ModelConfig
 from repro.llm.serving import ServingSpec, simulate_serving
 from repro.llm.tiling import TilingConfig
+from repro.obs.ledger import stable_line, validate_record
 from repro.obs.tracer import Tracer
 from repro.systems import make_system
 
@@ -47,11 +53,22 @@ def tiny_spec() -> ServingSpec:
                        output_min=1, output_max=3, max_batch_requests=4)
 
 
+CONFIG = dgx_h100_config(num_gpus=4, seed=1)
+TILING = TilingConfig(tile=32, chunk_bytes=32768, red_chunk_bytes=8192)
+
+
 def _serve():
-    config = dgx_h100_config(num_gpus=4, seed=1)
-    tiling = TilingConfig(tile=32, chunk_bytes=32768, red_chunk_bytes=8192)
-    system = make_system("TP-NVLS", config, tiling=tiling, jitter=False)
+    system = make_system("TP-NVLS", CONFIG, tiling=TILING, jitter=False)
     return simulate_serving(system, tiny_spec(), model=TINY, style="basic")
+
+
+def _task() -> SimTask:
+    """The task describing :func:`_serve`'s run, for the record's
+    identity (the tiny model is not in Table I, so the matrix runner
+    could not run it by name)."""
+    return SimTask(system="TP-NVLS", graphs=(), config=CONFIG,
+                   scale=Scale(tokens_fraction=1.0, tiling=TILING),
+                   kwargs=(("jitter", False),), serving=tiny_spec())
 
 
 def _instrumented_serve(window_ns=5_000.0):
@@ -120,15 +137,15 @@ def test_request_records_tile_and_match_stats():
 
 def test_same_seed_runs_are_byte_identical():
     serving_a, tracer_a = _instrumented_serve()
-    report_a = build_report(serving_a)
+    report_a = build_report(_task(), serving_a)
     serving_b, tracer_b = _instrumented_serve()
-    report_b = build_report(serving_b)
+    report_b = build_report(_task(), serving_b)
     trace_a = json.dumps({"tracks": tracer_a.tracks(),
                           "events": tracer_a.events()}, sort_keys=True)
     trace_b = json.dumps({"tracks": tracer_b.tracks(),
                           "events": tracer_b.events()}, sort_keys=True)
     assert trace_a == trace_b
-    assert report_to_json(report_a) == report_to_json(report_b)
+    assert stable_line(report_a) == stable_line(report_b)
 
 
 def test_sinks_do_not_perturb_the_simulation():
@@ -153,8 +170,9 @@ def test_sinks_do_not_perturb_the_simulation():
 
 def test_live_report_validates_and_self_diffs_clean():
     serving, _ = _instrumented_serve()
-    report = build_report(serving)
-    validate_report(report)
+    record = build_report(_task(), serving)
+    validate_record(record)
+    report = record["serving"]
     summary = report["summary"]
     assert summary["requests"] == len(serving.stats)
     assert summary["tokens"] == serving.total_output_tokens
@@ -173,6 +191,57 @@ def test_live_report_validates_and_self_diffs_clean():
     assert report["fault_windows"] == []
     assert all(not math.isnan(v)
                for v in report["summary"]["ttft_ns"].values())
-    diff = diff_reports(report, json.loads(report_to_json(report)))
+    diff = diff_reports(record, json.loads(stable_line(record)))
     assert diff["moved"] is False
     assert "no movement" in format_diff(diff)
+    # The record's envelope is the task's: identity plus engine health.
+    assert record["fingerprint"] == _task().fingerprint()
+    assert record["metrics"]["makespan_ns"] == serving.run.makespan_ns
+    assert record["metrics"]["events"] == serving.run.events
+    assert record["volatile"]["events_per_wall_second"] > 0
+
+
+# ---------------------------------------------------------------------------
+# --report records are the figures' own run records
+# ---------------------------------------------------------------------------
+
+class _Captured(Exception):
+    pass
+
+
+def _fig20_task(system: str) -> SimTask:
+    """The task fig20 --quick submits for ``system``."""
+    captured = []
+
+    def capture(tasks, ctx=None):
+        captured.extend(tasks)
+        raise _Captured
+
+    original = fig20_serving.run_matrix
+    fig20_serving.run_matrix = capture
+    try:
+        with pytest.raises(_Captured):
+            fig20_serving.run(QUICK)
+    finally:
+        fig20_serving.run_matrix = original
+    return next(t for t in captured if t.system == system)
+
+
+def test_fig20_report_record_is_the_fig20_cais_record():
+    record = experiment_report("fig20_serving", QUICK)
+    task = _fig20_task("CAIS")
+    summary, wall_ms = _execute_task(task)
+    expected = record_for_task(task, summary, cache_hit=False,
+                               wall_ms=wall_ms)
+    assert record["fingerprint"] == expected["fingerprint"]
+    assert record["spec"] == expected["spec"]
+    assert record["metrics"]["makespan_ns"] \
+        == expected["metrics"]["makespan_ns"]
+
+
+def test_fig22_report_record_is_a_fleet_replica():
+    record = experiment_report("fig22", QUICK)
+    validate_record(record)
+    assert record["spec"]["workload"] == "fleet"
+    assert record["spec"]["role"] == "replica[0]"
+    assert record["serving"]["summary"]["requests"] > 0
