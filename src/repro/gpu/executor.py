@@ -534,9 +534,13 @@ class Executor:
                 parents=((tb.cz_enq, "dep"), (tb.cz_disp, "slot"),
                          (tb.cz_launch, "launch")))
             self._cz.current = tb.cz_last
-        loads = (kernel.remote_loads(tb.gpu_index, tb.block_idx)
+        gpu_index = tb.gpu_index
+        # Request lists may be shared templates (RemoteOpsFn): read only.
+        # Loads homed locally need no fabric access and are dropped here.
+        loads = ([op for op in kernel.remote_loads(gpu_index, tb.block_idx)
+                  if op.address.home_gpu != gpu_index]
                  if kernel.remote_loads else [])
-        reduces = (kernel.remote_reduces(tb.gpu_index, tb.block_idx)
+        reduces = (kernel.remote_reduces(gpu_index, tb.block_idx)
                    if kernel.remote_reduces else [])
         group = kernel.group_for(tb.block_idx)
         # Reducing TBs always join the pre-access barrier when throttling
@@ -547,13 +551,12 @@ class Executor:
         # home shard add sync rounds with nothing to align).
         if reduces:
             participates = bool(reduces) if self.tb_throttle else any(
-                op.address.home_gpu != tb.gpu_index for op in reduces)
+                op.address.home_gpu != gpu_index for op in reduces)
             expected = (len(self.gpus) if self.tb_throttle
                         else len(self.gpus) - 1)
         else:
-            participates = any(
-                op.address.home_gpu != tb.gpu_index and
-                gpu.memory.would_fetch(op.address) for op in loads)
+            would_fetch = gpu.memory.would_fetch
+            participates = any(would_fetch(op.address) for op in loads)
             expected = len(self.gpus) - 1
         if kernel.sync_preaccess and group is not None and participates:
             tb.state = TBState.SYNC_ACCESS
@@ -574,25 +577,27 @@ class Executor:
 
     def _tb_remote(self, tb: ThreadBlock, loads: List[RemoteOp],
                    reduces: List[RemoteOp]) -> None:
+        """Issue the TB's reductions and its (remotely homed) ``loads``."""
         tb.state = TBState.REMOTE
         gpu = self.gpus[tb.gpu_index]
-        remote_loads = [op for op in loads
-                        if op.address.home_gpu != tb.gpu_index]
-        if self._tr.enabled and remote_loads:
+        if self._tr.enabled and loads:
             self._phase_begin(tb, "remote")
         # Reductions are fire-and-forget (pacing happened at dispatch
         # admission); the TB holds its slot only while loads are pending.
         for op in reduces:
             self._issue_reduce(gpu, op)
-        tb.loads_outstanding = len(remote_loads)
+        tb.loads_outstanding = len(loads)
         if tb.loads_outstanding == 0:
             self._tb_post(tb)
             return
-        for op in remote_loads:
-            gpu.memory.fetch_remote(
-                op.address, op.chunk_bytes,
-                mergeable=op.mergeable, expected=op.expected,
-                on_ready=lambda _value, tb=tb: self._tb_load_ready(tb))
+
+        def on_ready(_value) -> None:
+            self._tb_load_ready(tb)
+
+        fetch = gpu.memory.fetch_remote
+        for op in loads:
+            fetch(op.address, op.chunk_bytes, mergeable=op.mergeable,
+                  expected=op.expected, on_ready=on_ready)
 
     def _issue_reduce(self, gpu: Gpu, op: RemoteOp) -> None:
         if op.kind is not RemoteOpKind.REDUCE:

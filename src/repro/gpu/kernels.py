@@ -25,6 +25,8 @@ from .remote_ops import RemoteOp
 
 #: token identifying a dependency event, e.g. ("rs", addr) — any hashable.
 Token = object
+#: (gpu, block_idx) -> the TB's remote requests.  The list may be a
+#: template shared by many TBs (see ``llm.tiling``): callers never mutate it.
 RemoteOpsFn = Callable[[int, Tuple[int, ...]], List[RemoteOp]]
 DepsFn = Callable[[int, Tuple[int, ...]], List[Token]]
 

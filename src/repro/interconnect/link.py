@@ -41,9 +41,10 @@ from ..common.events import Simulator
 from ..metrics.bandwidth import BandwidthTracker
 from ..obs import current_causality, current_metrics, current_tracer
 from ..obs.causality import LINK_SERIALIZATION, NO_CAUSE
-from .message import Message, TrafficClass
+from .message import VC_ORDER, Message, TrafficClass
 
-_RR_ORDER = (TrafficClass.CONTROL, TrafficClass.LOAD, TrafficClass.REDUCTION)
+#: The queue index round-robin arbitration visits after each one.
+_RR_NEXT = tuple((i + 1) % len(VC_ORDER) for i in range(len(VC_ORDER)))
 
 
 class Link:
@@ -66,8 +67,11 @@ class Link:
         self.tracker = BandwidthTracker()
         #: Set at wiring time; invoked with each delivered message.
         self.deliver: Optional[Callable[[Message], None]] = None
-        self._queues: Dict[TrafficClass, Deque[Message]] = {
-            tc: deque() for tc in _RR_ORDER}
+        # One queue per virtual channel, indexed as VC_ORDER (a FIFO link
+        # uses queue 0 only), and the number of messages waiting in them.
+        self._vcs: Tuple[Deque[Message], ...] = tuple(
+            deque() for _ in VC_ORDER)
+        self._waiting = 0
         self._rr_index = 0
         self._busy = False
         self.peak_queue_depth = 0
@@ -132,9 +136,8 @@ class Link:
             return
         if self.deliver is None:
             raise SimulationError(f"link {self.name} is not wired")
-        queue = self._queue_for(msg)
-        queue.append(msg)
-        depth = sum(len(q) for q in self._queues.values())
+        self._vcs[msg.op.vc if self.traffic_control else 0].append(msg)
+        depth = self._waiting = self._waiting + 1
         if depth > self.peak_queue_depth:
             self.peak_queue_depth = depth
         if self._obs_on:
@@ -217,8 +220,8 @@ class Link:
                 pending.popleft()
             return len(pending)
         if traffic_class is not None and self.traffic_control:
-            return len(self._queues[traffic_class])
-        return sum(len(q) for q in self._queues.values())
+            return len(self._vcs[traffic_class.vc])
+        return self._waiting
 
     def wait_for_room(self, traffic_class: TrafficClass, limit: int,
                       callback: Callable[[], None]) -> None:
@@ -336,31 +339,27 @@ class Link:
             return False
         if self._lazy:
             return self._free_at <= self.sim.now
-        return (not self._busy
-                and not any(self._queues.values()))
+        return not self._busy and not self._waiting
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _queue_for(self, msg: Message) -> Deque[Message]:
-        if self.traffic_control:
-            return self._queues[msg.traffic_class]
-        return self._queues[TrafficClass.CONTROL]   # single shared FIFO
-
     def _pick_next(self) -> Optional[Message]:
+        if not self._waiting:
+            return None
+        self._waiting -= 1
+        vcs = self._vcs
         if not self.traffic_control:
-            queue = self._queues[TrafficClass.CONTROL]
-            return queue.popleft() if queue else None
+            return vcs[0].popleft()
         # Round-robin across non-empty classes, continuing after the class
         # served last so no class starves (paper: RR arbitration between the
-        # load and reduction virtual channels).
-        for step in range(len(_RR_ORDER)):
-            idx = (self._rr_index + step) % len(_RR_ORDER)
-            queue = self._queues[_RR_ORDER[idx]]
-            if queue:
-                self._rr_index = (idx + 1) % len(_RR_ORDER)
-                return queue.popleft()
-        return None
+        # load and reduction virtual channels).  A message is waiting, so
+        # the scan stops within one turn.
+        idx = self._rr_index
+        while not vcs[idx]:
+            idx = _RR_NEXT[idx]
+        self._rr_index = _RR_NEXT[idx]
+        return vcs[idx].popleft()
 
     def _start_next(self) -> None:
         if self._down:
@@ -374,19 +373,20 @@ class Link:
         bandwidth = self.spec.bandwidth_gbps
         if self._bw_factor != 1.0:
             bandwidth *= self._bw_factor
-        serialization = msg.wire_bytes() / bandwidth
+        wire = msg.wire_bytes()
+        serialization = wire / bandwidth
         now = self.sim.now
-        self.tracker.record(now, now + serialization, msg.wire_bytes())
+        self.tracker.record(now, now + serialization, wire)
         if self._obs_on:
             enq = self._enqueued_at.pop(id(msg), now)
             if self._mx.enabled:
                 self._h_qdelay.record(now - enq)
                 self._c_msgs.inc()
-                self._c_bytes.inc(msg.wire_bytes())
+                self._c_bytes.inc(wire)
             if self._tr.enabled:
                 self._tx_span = self._tr.begin(
                     self._track, f"tx {msg.op.value}", now, cat="link",
-                    args={"bytes": msg.wire_bytes(),
+                    args={"bytes": wire,
                           "queued_ns": now - enq})
         if self._cz.enabled:
             self._cz_tx = self._cz.node(

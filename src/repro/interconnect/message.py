@@ -87,6 +87,22 @@ _LOAD_OPS = {Op.LOAD_REQ, Op.LOAD_RESP, Op.LD_CAIS_REQ, Op.LD_CAIS_RESP,
 _REDUCTION_OPS = {Op.RED, Op.RED_CAIS, Op.RED_CAIS_ACK, Op.MULTIMEM_RED,
                   Op.STORE, Op.MULTIMEM_ST}
 
+#: Round-robin arbitration order of the virtual channels; a class's
+#: position here is its queue index on a traffic-controlled link.
+VC_ORDER = (TrafficClass.CONTROL, TrafficClass.LOAD, TrafficClass.REDUCTION)
+
+# Each op's class and queue index, resolved once as member attributes:
+# links read them per message, and an enum-keyed dict or set lookup pays
+# a Python-level ``Enum.__hash__`` call every time.
+for _tc in TrafficClass:
+    _tc.vc = VC_ORDER.index(_tc)
+for _op in Op:
+    _op.traffic_class = (TrafficClass.LOAD if _op in _LOAD_OPS else
+                         TrafficClass.REDUCTION if _op in _REDUCTION_OPS
+                         else TrafficClass.CONTROL)
+    _op.vc = _op.traffic_class.vc
+del _tc, _op
+
 
 @dataclass(frozen=True)
 class Address:
@@ -132,11 +148,7 @@ class Message:
     @property
     def traffic_class(self) -> TrafficClass:
         """Virtual-channel class this message travels in."""
-        if self.op in _LOAD_OPS:
-            return TrafficClass.LOAD
-        if self.op in _REDUCTION_OPS:
-            return TrafficClass.REDUCTION
-        return TrafficClass.CONTROL
+        return self.op.traffic_class
 
     def wire_bytes(self) -> int:
         """Bytes occupied on the wire, including per-packet flit headers."""

@@ -21,14 +21,14 @@ granularity.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..cais import compiler as cc
 from ..common.config import GpuSpec
 from ..common.errors import WorkloadError
-from ..gpu.kernels import KernelInstance
+from ..gpu.kernels import KernelInstance, RemoteOpsFn
 from ..gpu.remote_ops import RemoteOp, RemoteOpKind, Transport
 from ..interconnect.message import Address
 from .graph import GemmShape, LogicalOp, OpKind
@@ -125,26 +125,23 @@ class ActivationLayout:
     row_bytes: int
     tp: int
     row_block: int = 128
+    # Derived once in __post_init__: every address helper below reads
+    # them, and re-deriving them per access showed up in profiles.
+    num_blocks: int = field(init=False, repr=False, compare=False)
+    _base: int = field(init=False, repr=False, compare=False)
+    _extra: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.rows <= 0 or self.row_bytes <= 0 or self.tp < 1:
             raise WorkloadError(f"invalid layout {self}")
-        if self.num_blocks < self.tp:
+        num_blocks = ceil_div(self.rows, self.row_block)
+        if num_blocks < self.tp:
             raise WorkloadError(
-                f"layout has {self.num_blocks} row blocks for {self.tp} "
+                f"layout has {num_blocks} row blocks for {self.tp} "
                 f"GPUs; shrink row_block or grow the tensor")
-
-    @property
-    def num_blocks(self) -> int:
-        return ceil_div(self.rows, self.row_block)
-
-    @property
-    def _base(self) -> int:
-        return self.num_blocks // self.tp
-
-    @property
-    def _extra(self) -> int:
-        return self.num_blocks % self.tp
+        object.__setattr__(self, "num_blocks", num_blocks)
+        object.__setattr__(self, "_base", num_blocks // self.tp)
+        object.__setattr__(self, "_extra", num_blocks % self.tp)
 
     @property
     def blocks_per_shard(self) -> int:
@@ -187,6 +184,37 @@ def make_layout(rows: int, row_bytes: int, tp: int,
     """Allocate a fresh tensor id and build its layout."""
     return ActivationLayout(tensor_id=next(_tensor_ids), rows=rows,
                             row_bytes=row_bytes, tp=tp, row_block=row_block)
+
+
+def row_block_loads(in_layout: ActivationLayout, tiling: TilingConfig,
+                    tp: int, transport: Transport) -> RemoteOpsFn:
+    """Remote loads of a kernel whose TB ``(mb, ...)`` reads row block ``mb``.
+
+    A GPU other than the block's home loads every chunk quantum of the
+    block; the home loads nothing.  The chunk list depends only on ``mb``,
+    so it is built once per row block (on first use, together with the
+    block's home) and shared by every GPU and column tile.  The lists live
+    with the lowered kernel (fresh per lowering, never module-global).
+    """
+    chunk_bytes = tiling.chunk_bytes
+    chunks = in_layout.chunks_per_block(chunk_bytes)
+    templates: Dict[int, Tuple[int, List[RemoteOp]]] = {}
+
+    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
+        mb = bidx[0]
+        entry = templates.get(mb)
+        if entry is None:
+            entry = templates[mb] = (
+                in_layout.home_of_block(mb),
+                [RemoteOp(RemoteOpKind.LOAD,
+                          in_layout.address(mb, c, chunk_bytes),
+                          chunk_bytes, transport=transport, expected=tp - 1)
+                 for c in range(chunks)])
+        if entry[0] == gpu:
+            return []
+        return entry[1]
+
+    return loads
 
 
 # ---------------------------------------------------------------------------
@@ -235,15 +263,22 @@ def gemm_rs_kernel(op: LogicalOp, out_layout: ActivationLayout,
     tile_bytes = out_layout.block_bytes // grid[1]
     tb_ns = gemm_tile_time_ns(tile, tile, shape.k, spec)
     subs, sub_bytes = reduction_sub_chunks(tile_bytes, tiling.red_chunk_bytes)
+    # Every GPU reduces tile (mb, nb) to the same home, so one request
+    # list per tile serves all GPUs; it is built on first use and lives
+    # with this lowered kernel (fresh per lowering, never module-global).
+    templates: Dict[Tuple[int, ...], List[RemoteOp]] = {}
 
     def reduces(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb, nb = bidx
-        base = out_layout.address(mb, nb, tile_bytes)
-        return [RemoteOp(RemoteOpKind.REDUCE,
-                         Address(base.home_gpu,
-                                 base.offset + c * sub_bytes),
+        ops = templates.get(bidx)
+        if ops is None:
+            mb, nb = bidx
+            base = out_layout.address(mb, nb, tile_bytes)
+            ops = templates[bidx] = [
+                RemoteOp(RemoteOpKind.REDUCE,
+                         Address(base.home_gpu, base.offset + c * sub_bytes),
                          sub_bytes, transport=transport, expected=tp - 1)
                 for c in range(subs)]
+        return ops
 
     # Symbolic form for the compiler: home = mb // blocks_per_shard,
     # offset = base + mb*block + nb*tile — no gpuId: mergeable.
@@ -347,17 +382,7 @@ def replicated_vector_kernel(op: LogicalOp, in_layout: ActivationLayout,
     grid = (in_layout.num_blocks,)
     row_elems = in_layout.block_bytes // 2
     tb_ns = vector_tb_time_ns(row_elems, op.flops_per_element, spec)
-    chunks = in_layout.chunks_per_block(tiling.chunk_bytes)
-
-    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb = bidx[0]
-        if in_layout.home_of_block(mb) == gpu:
-            return []
-        return [RemoteOp(RemoteOpKind.LOAD,
-                         in_layout.address(mb, c, tiling.chunk_bytes),
-                         tiling.chunk_bytes, transport=transport,
-                         expected=tp - 1)
-                for c in range(chunks)]
+    loads = row_block_loads(in_layout, tiling, tp, transport)
 
     def deps(gpu: int, bidx: Tuple[int, ...]) -> List[Tuple]:
         if not gated_on_rs:
@@ -425,17 +450,7 @@ def ag_gemm_kernel(op: LogicalOp, in_layout: ActivationLayout,
     tile = tiling.tile
     grid = (ceil_div(shape.m, tile), ceil_div(shape.n, tile))
     tb_ns = gemm_tile_time_ns(tile, tile, shape.k, spec)
-    chunks = in_layout.chunks_per_block(tiling.chunk_bytes)
-
-    def loads(gpu: int, bidx: Tuple[int, ...]) -> List[RemoteOp]:
-        mb = bidx[0]
-        if in_layout.home_of_block(mb) == gpu:
-            return []
-        return [RemoteOp(RemoteOpKind.LOAD,
-                         in_layout.address(mb, c, tiling.chunk_bytes),
-                         tiling.chunk_bytes, transport=transport,
-                         expected=tp - 1)
-                for c in range(chunks)]
+    loads = row_block_loads(in_layout, tiling, tp, transport)
 
     def deps(gpu: int, bidx: Tuple[int, ...]) -> List[Tuple]:
         if not gated_on_ln:

@@ -130,10 +130,8 @@ def test_kernel_fastpath_exact_with_jitter(layer_workload):
     assert _observables(fast) == _observables(ref)
 
 
-@pytest.mark.parametrize("layer", sorted(LAYER_CONFIGS))
-def test_serving_run_preserves_observables(layer):
-    """fig20-style continuous-batching serving: per-layer equivalence
-    of the whole request stream (TTFTs, makespan, token totals)."""
+def _serve_tiny_nvls():
+    """A tiny fig20-style TP-NVLS serving stream on 4 GPUs."""
     from repro.llm.models import ModelConfig
     from repro.llm.serving import ServingSpec, simulate_serving
 
@@ -142,21 +140,63 @@ def test_serving_run_preserves_observables(layer):
     spec = ServingSpec(model="tiny", seed=7, arrival_rate_rps=100_000.0,
                        horizon_ms=0.05, prompt_min=8, prompt_max=24,
                        output_min=1, output_max=3, max_batch_requests=4)
+    cfg = dgx_h100_config(num_gpus=4, seed=1)
+    system = make_system("TP-NVLS", cfg, tiling=TILING)
+    return simulate_serving(system, spec, model=tiny, style="basic")
 
-    def serve():
-        cfg = dgx_h100_config(num_gpus=4, seed=1)
-        system = make_system("TP-NVLS", cfg, tiling=TILING)
-        return simulate_serving(system, spec, model=tiny, style="basic")
 
+@pytest.mark.parametrize("layer", sorted(LAYER_CONFIGS))
+def test_serving_run_preserves_observables(layer):
+    """fig20-style continuous-batching serving: per-layer equivalence
+    of the whole request stream (TTFTs, makespan, token totals)."""
     with fastpath.overridden(fastpath.DISABLED):
-        ref = serve()
+        ref = _serve_tiny_nvls()
     with fastpath.overridden(LAYER_CONFIGS[layer]):
-        fast = serve()
+        fast = _serve_tiny_nvls()
     assert fast.run.makespan_ns == ref.run.makespan_ns
     assert fast.total_output_tokens == ref.total_output_tokens
     assert fast.iterations == ref.iterations
     assert ([s.ttft_ns for s in fast.stats]
             == [s.ttft_ns for s in ref.stats])
+
+
+# Engagement: a fast-path layer that silently stops firing keeps every
+# equivalence test green while the speed falls away, so each layer is
+# pinned to fire on a workload where it must.
+
+def test_serving_fastpath_layers_engage():
+    """Under the default config, TP-NVLS serving takes all three layers:
+    analytic collectives, link windows and analytic kernels."""
+    with fastpath.overridden(fastpath.FastPathConfig()):
+        details = _serve_tiny_nvls().run.details
+    assert details.get("fastpath.analytic_ops", 0.0) > 0
+    assert details.get("fastpath.link_messages", 0.0) > 0
+    assert details.get("fastpath.kernel_launches", 0.0) > 0
+
+
+def test_link_windows_engage_on_t3_layer(layer_workload):
+    """T3's FIFO links carry its fused traffic through link windows."""
+    model, cfg = layer_workload
+    graphs = layer_graphs(model, cfg.num_gpus, "T3", training=False)
+    with fastpath.overridden(fastpath.FastPathConfig()):
+        res = _run("T3", graphs, cfg)
+    assert res.details.get("fastpath.link_messages", 0.0) > 0
+
+
+def test_cais_layer_elides_exactly_the_skipped_events(layer_workload):
+    """On CAIS the fused link-to-switch hop elides events; the elided
+    count accounts for every event the reference path fires and the
+    default engine does not."""
+    model, cfg = layer_workload
+    graphs = layer_graphs(model, cfg.num_gpus, "CAIS", training=False)
+    with fastpath.overridden(fastpath.DISABLED):
+        ref = _run("CAIS", graphs, cfg)
+    with fastpath.overridden(fastpath.FastPathConfig()):
+        fast = _run("CAIS", graphs, cfg)
+    elided = fast.details.get("fastpath.events_elided", 0.0)
+    assert elided > 0
+    assert fast.events + elided == ref.events
+    assert fast.makespan_ns == ref.makespan_ns
 
 
 @pytest.mark.parametrize("layer", sorted(LAYER_CONFIGS))

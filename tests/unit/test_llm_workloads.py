@@ -10,11 +10,14 @@ from repro.llm.models import (
 from repro.llm.tiling import (
     ActivationLayout, TilingConfig, ag_gemm_kernel, compute_kernel,
     gemm_rs_kernel, gemm_tile_time_ns, ln_kernel, make_layout,
-    reset_tensor_ids, rs_tokens, vector_tb_time_ns)
+    reduction_sub_chunks, replicated_vector_kernel, reset_tensor_ids,
+    rs_tokens, vector_tb_time_ns)
 from repro.llm.tp import (
     SUBLAYERS, basic_backward_layer, basic_forward_layer,
     sp_backward_layer, sp_forward_layer, sublayer_graph, training_graphs)
-from repro.gpu.remote_ops import RemoteOpKind, Transport
+from repro.gpu.kernels import block_indices
+from repro.gpu.remote_ops import RemoteOp, RemoteOpKind, Transport
+from repro.interconnect.message import Address
 
 
 class TestModels:
@@ -268,3 +271,98 @@ class TestTiling:
         k = gemm_rs_kernel(op, layout, self.spec, self.tiling, tp=8,
                            transport=Transport.DIRECT)
         assert not k.remote_reduces(0, (1, 0))[0].mergeable
+
+
+class TestRequestTemplates:
+    """Per-kernel request templates equal requests built from the layout.
+
+    The layout is ragged (10 row blocks over 4 GPUs), so shard sizes and
+    homes differ across GPUs; every ``(gpu, bidx)`` is checked.
+    """
+
+    TP = 4
+
+    def setup_method(self):
+        reset_tensor_ids()
+        self.spec = GpuSpec()
+        self.tiling = TilingConfig()
+        self.layout = make_layout(rows=1280, row_bytes=2048, tp=self.TP)
+        assert self.layout.num_blocks % self.TP != 0
+        self.gemm = LogicalOp("g", OpKind.GEMM,
+                              gemm=GemmShape(1280, 512, 256))
+        self.vector = LogicalOp("v", OpKind.VECTOR, elements=1280 * 1024)
+
+    def direct_loads(self, gpu, mb, transport):
+        layout, chunk = self.layout, self.tiling.chunk_bytes
+        if layout.home_of_block(mb) == gpu:
+            return []
+        return [RemoteOp(RemoteOpKind.LOAD, layout.address(mb, c, chunk),
+                         chunk, transport=transport, expected=self.TP - 1)
+                for c in range(layout.chunks_per_block(chunk))]
+
+    def direct_reduces(self, mb, nb, num_col_tiles, transport):
+        tile_bytes = self.layout.block_bytes // num_col_tiles
+        subs, sub_bytes = reduction_sub_chunks(tile_bytes,
+                                               self.tiling.red_chunk_bytes)
+        base = self.layout.address(mb, nb, tile_bytes)
+        return [RemoteOp(RemoteOpKind.REDUCE,
+                         Address(base.home_gpu, base.offset + c * sub_bytes),
+                         sub_bytes, transport=transport,
+                         expected=self.TP - 1)
+                for c in range(subs)]
+
+    def lower(self, which, transport):
+        if which == "gemm_rs":
+            k = gemm_rs_kernel(self.gemm, self.layout, self.spec,
+                               self.tiling, tp=self.TP, transport=transport)
+            return k, k.remote_reduces
+        if which == "ag_gemm":
+            k = ag_gemm_kernel(self.gemm, self.layout, self.spec,
+                               self.tiling, tp=self.TP, transport=transport)
+        else:
+            k = replicated_vector_kernel(self.vector, self.layout, 4,
+                                         self.spec, self.tiling, tp=self.TP,
+                                         transport=transport)
+        return k, k.remote_loads
+
+    def expected(self, which, kernel, gpu, bidx, transport):
+        if which == "gemm_rs":
+            return self.direct_reduces(bidx[0], bidx[1], kernel.grid[1],
+                                       transport)
+        return self.direct_loads(gpu, bidx[0], transport)
+
+    @pytest.mark.parametrize("transport", [Transport.CAIS, Transport.DIRECT])
+    @pytest.mark.parametrize("which",
+                             ["gemm_rs", "ag_gemm", "replicated_vector"])
+    def test_templates_equal_direct_construction(self, which, transport):
+        kernel, requests = self.lower(which, transport)
+        assert kernel.grid[0] == self.layout.num_blocks
+        blocks = block_indices(kernel.grid)
+        # Walk GPUs high to low so templates are first built from a GPU
+        # other than GPU 0; the second pass reads them back.
+        for _ in range(2):
+            for gpu in reversed(range(self.TP)):
+                for bidx in blocks:
+                    got = requests(gpu, bidx)
+                    assert isinstance(got, list)
+                    assert got == self.expected(which, kernel, gpu, bidx,
+                                                transport)
+        # Every GPU other than a block's home issues requests for it.
+        assert sum(bool(requests(g, b)) for g in range(self.TP)
+                   for b in blocks) >= (self.TP - 1) * len(blocks)
+
+    @pytest.mark.parametrize("which",
+                             ["gemm_rs", "ag_gemm", "replicated_vector"])
+    def test_separate_lowerings_share_no_template(self, which):
+        first, first_requests = self.lower(which, Transport.CAIS)
+        second, second_requests = self.lower(which, Transport.CAIS)
+        shared = 0
+        for gpu in range(self.TP):
+            for bidx in block_indices(first.grid):
+                a, b = first_requests(gpu, bidx), second_requests(gpu, bidx)
+                assert a == b
+                if a:
+                    assert a is not b
+                    assert not any(x is y for x, y in zip(a, b))
+                    shared += 1
+        assert shared
